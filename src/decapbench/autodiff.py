@@ -9,15 +9,30 @@ backward passes produce bit-identical gradients.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import struct
+import threading
 
 import numpy as np
 
 from .errors import ContractViolation, NumericFailure
 
 NEG_INF = -1e9  # finite stand-in for log(0); exp(NEG_INF) underflows to 0.0
+
+_GRAD = threading.local()  # .off is True inside no_grad() on this thread
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape on this thread: every op result is a constant."""
+    prev = getattr(_GRAD, "off", False)
+    _GRAD.off = True
+    try:
+        yield
+    finally:
+        _GRAD.off = prev
 
 
 class Tensor:
@@ -41,6 +56,13 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's grad.
+
+        The tape is consumed: each interior node drops its parents, its
+        backward closure and its grad once they have been used, so the
+        graph's memory is released during the pass and a second backward
+        through the same graph reaches no leaf.
+        """
         if self.data.ndim != 0:
             raise ContractViolation("backward requires a scalar output")
         topo, seen = [], set()
@@ -58,9 +80,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents, node._backward, node.grad = (), None, None
 
     # convenience arithmetic
     def __add__(self, other):
@@ -94,7 +120,8 @@ def _wrap(x) -> Tensor:
 
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if not getattr(_GRAD, "off", False) and \
+            any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -236,16 +263,41 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Pick one entry along axis 1 per batch item: (B, N, ...) -> (B, ...)."""
+    """Pick entries along axis 1 per batch item.
+
+    idx of shape (B,) maps (B, N, ...) -> (B, ...); idx of shape (B, T)
+    maps (B, N, ...) -> (B, T, ...).
+    """
     idx = np.asarray(idx, dtype=np.int64)
     bsz = a.shape[0]
-    arange = np.arange(bsz)
-    data = a.data[arange, idx]
+    rows = np.arange(bsz).reshape((bsz,) + (1,) * (idx.ndim - 1))
+    data = a.data[rows, idx]
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (arange, idx), g)
+        np.add.at(ga, (rows, idx), g)
         _accum(a, ga)
+
+    return _make(data, (a,), backward)
+
+
+def concat(tensors, axis: int) -> Tensor:
+    """Join tensors along an existing axis (shapes agree elsewhere)."""
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        for t, gt in zip(tensors, np.split(g, bounds, axis=axis)):
+            _accum(t, gt)
+
+    return _make(data, tuple(tensors), backward)
+
+
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    data = np.broadcast_to(a.data, shape)
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.shape))
 
     return _make(data, (a,), backward)
 
@@ -346,31 +398,34 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: dict,
     return _make(data, (x, gamma, beta), backward)
 
 
+def split_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
+    """Project x (B, T, d) by w and split into heads: (B, heads, T, d/heads)."""
+    bsz, t, d = x.shape
+    if d % n_heads != 0:
+        raise ContractViolation("model dim must be divisible by n_heads")
+    return transpose(reshape(linear(x, w), (bsz, t, n_heads, d // n_heads)),
+                     (0, 2, 1, 3))
+
+
+def attend(qh: Tensor, kh: Tensor, vh: Tensor, wo: Tensor) -> Tensor:
+    """Scaled dot-product attention over head-split inputs (B, heads, T, dh)
+    with output projection: (B, Tq, heads * dh)."""
+    bsz, n_heads, tq, dh = qh.shape
+    scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = masked_softmax(scores)
+    ctx = matmul(attn, vh)  # (B, h, Tq, dh)
+    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, tq, n_heads * dh))
+    return linear(ctx, wo)
+
+
 def mha(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         wo: Tensor, n_heads: int) -> Tensor:
     """Scaled dot-product multi-head attention with output projection.
 
     q: (B, Tq, d); k, v: (B, Tk, d).
     """
-    d = q.shape[-1]
-    if d % n_heads != 0:
-        raise ContractViolation("model dim must be divisible by n_heads")
-    dh = d // n_heads
-    bsz, tq = q.shape[0], q.shape[1]
-    tk = k.shape[1]
-
-    def split(x, w, t):
-        return transpose(reshape(linear(x, w), (bsz, t, n_heads, dh)),
-                         (0, 2, 1, 3))
-
-    qh = split(q, wq, tq)
-    kh = split(k, wk, tk)
-    vh = split(v, wv, tk)
-    scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = masked_softmax(scores)
-    ctx = matmul(attn, vh)  # (B, h, Tq, dh)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, tq, d))
-    return linear(ctx, wo)
+    return attend(split_heads(q, wq, n_heads), split_heads(k, wk, n_heads),
+                  split_heads(v, wv, n_heads), wo)
 
 
 class ParamStore:

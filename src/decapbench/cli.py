@@ -93,7 +93,7 @@ def cmd_gen(args) -> int:
 
 def _train_configs(args):
     if args.preset == "paper":
-        tcfg = training.paper_train_config(seed=args.seed)
+        tcfg = training.TrainConfig(seed=args.seed)
         mcfg = pol.ModelConfig(init_seed=args.seed)
     elif args.preset == "toy":
         tcfg = training.toy_train_config(seed=args.seed)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,39 +149,46 @@ class Evaluator:
     The bare port-impedance sweep depends only on the stack, so one sweep
     per board size serves every problem and placement. Each evaluate()
     performs one Schur termination per frequency and counts as one
-    simulator call.
+    simulator call. Safe to share between threads.
     """
 
     def __init__(self, config: pdn.SimConfig):
         self.config = config
         self._sweep: pdn.FrequencySweepZ | None = None
+        self._lock = threading.Lock()
         self.count = 0
 
     def _bare_sweep(self) -> pdn.FrequencySweepZ:
-        if self._sweep is None:
-            stack = self.config.stack
-            ports = range(stack.chip.n_cells)
-            self._sweep = pdn.solve_z_ports(stack, ports, self.config.grid)
-        return self._sweep
+        with self._lock:
+            if self._sweep is None:
+                stack = self.config.stack
+                ports = range(stack.chip.n_cells)
+                self._sweep = pdn.solve_z_ports(stack, ports, self.config.grid)
+            return self._sweep
+
+    def _check_board(self, problem: Problem) -> None:
+        chip = self.config.stack.chip
+        if (problem.n_rows, problem.n_cols) != (chip.n_rows, chip.n_cols):
+            raise ContractViolation("problem board does not match the stack")
 
     def bare_profile(self, problem: Problem) -> np.ndarray:
+        self._check_board(problem)
         sweep = self._bare_sweep()
         i = sweep.port_index(problem.probe)
         return np.abs(sweep.z[:, i, i])
 
     def final_profile(self, problem: Problem, placement) -> np.ndarray:
+        self._check_board(problem)
         return pdn.attach_decaps(self._bare_sweep(), problem.probe,
                                  list(placement), self.config.decap)
 
     def evaluate(self, problem: Problem, placement) -> float:
         """Objective J for one placement; exactly permutation-invariant."""
-        if problem.n_rows != self.config.stack.chip.n_rows or \
-           problem.n_cols != self.config.stack.chip.n_cols:
-            raise ContractViolation("problem board does not match the stack")
-        placement = validate_placement(problem, placement)
         z_init = self.bare_profile(problem)
+        placement = validate_placement(problem, placement)
         z_final = self.final_profile(problem, placement)
-        self.count += 1
+        with self._lock:
+            self.count += 1
         return pdn.objective(z_init, z_final, self.config.grid)
 
 

@@ -6,6 +6,13 @@ each batch-normalized (residual additions optional). Decoder: a context
 query built from the probe embedding and the previously selected port's
 embedding, one attention layer, and pointer-style per-port logits, so the
 same checkpoint runs on any board size and any placement length.
+
+All decoding goes through one core, decode(), which maps T queries and T
+masks to T rows of log-probabilities. The glimpse keys/values and the
+pointer keys depend only on the encoding, so decoder_cache() projects them
+once per encode. Under teacher forcing every step's query is known up
+front, so sequence_log_prob() decodes all K steps in one pass; rollouts
+call the same core one step at a time.
 """
 
 from __future__ import annotations
@@ -139,45 +146,117 @@ def _mlp(x, store, p1, p2):
                      store[p2 + ".w"], store[p2 + ".b"])
 
 
+START = -1  # prev-port index of the first step: the table's start row
+
+
+@dataclass(frozen=True)
+class DecoderCache:
+    """Decoder work that depends only on the encoding, done once per encode."""
+    kh: ad.Tensor             # (B, heads, N, dh) glimpse keys
+    vh: ad.Tensor             # (B, heads, N, dh) glimpse values
+    keys: ad.Tensor           # (B, d, N) pointer keys, transposed
+    fixed: ad.Tensor | None   # (B, 1, d) step-invariant part of the query
+    table: ad.Tensor | None   # (B, N + 1, d) RCN inputs: ports, then start
+
+
+def _fixed_context(h, probe_idx, store, cfg):
+    """Step-invariant query part (B, 1, d); None when only the RCN is on.
+
+    With both context networks disabled the query is the mean port
+    embedding.
+    """
+    if cfg.use_pcn:
+        h_probe = ad.take_rows(h, np.asarray(probe_idx)[:, None])
+        return _mlp(h_probe, store, "pcn1", "pcn2")
+    if not cfg.use_rcn:
+        return ad.mean(h, axis=1, keepdims=True)
+    return None
+
+
+def _start(bsz, store, cfg):
+    return ad.broadcast_to(ad.reshape(store["start"], (1, 1, cfg.d_model)),
+                           (bsz, 1, cfg.d_model))
+
+
+def decoder_cache(h: ad.Tensor, store: ad.ParamStore, cfg: ModelConfig,
+                  probe_idx=None) -> DecoderCache:
+    """Project h once for every decode step that follows.
+
+    Without probe_idx only the attention-side entries are filled (what
+    decode() needs); step_queries() needs probe_idx too.
+    """
+    bsz = h.shape[0]
+    fixed = table = None
+    if probe_idx is not None:
+        fixed = _fixed_context(h, probe_idx, store, cfg)
+        if cfg.use_rcn:
+            table = ad.concat([h, _start(bsz, store, cfg)], axis=1)
+    return DecoderCache(
+        kh=ad.split_heads(h, store["dec.wk"], cfg.n_heads),
+        vh=ad.split_heads(h, store["dec.wv"], cfg.n_heads),
+        keys=ad.transpose(ad.linear(h, store["dec.key"]), (0, 2, 1)),
+        fixed=fixed, table=table)
+
+
+def _queries(fixed, prev, t, store, cfg):
+    """Decoder queries (B, t, d) from the step-invariant part and the
+    previous ports' embeddings prev (B, t, d), read only by the RCN."""
+    total = fixed
+    if cfg.use_rcn:
+        r = _mlp(prev, store, "rcn1", "rcn2")
+        total = r if total is None else total + r
+    q = ad.linear(total, store["ctx.w"], store["ctx.b"])
+    return q if q.shape[1] == t \
+        else ad.broadcast_to(q, (q.shape[0], t, cfg.d_model))
+
+
+def step_queries(cache: DecoderCache, prev_ports: np.ndarray,
+                 store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
+    """Queries (B, T, d) for T steps; prev_ports (B, T) holds the port
+    chosen before each step, START before the first."""
+    prev = ad.take_rows(cache.table, prev_ports) if cfg.use_rcn else None
+    return _queries(cache.fixed, prev, prev_ports.shape[1], store, cfg)
+
+
+def decode(cache: DecoderCache, queries: ad.Tensor, masks: np.ndarray,
+           store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
+    """Per-port log-probabilities (B, T, N) for queries (B, T, d) under
+    masks (B, T, N). The glimpse attends to every port; masked ports carry
+    NEG_INF in the output (their probability is exactly zero)."""
+    if not masks.any(axis=-1).all():
+        raise ContractViolation("no feasible port left")
+    qh = ad.split_heads(queries, store["dec.wq"], cfg.n_heads)
+    glimpse = ad.attend(qh, cache.kh, cache.vh, store["dec.wo"])
+    logits = ad.scale(ad.matmul(glimpse, cache.keys),
+                      1.0 / np.sqrt(cfg.d_model))
+    return ad.masked_log_softmax(logits, masks)
+
+
 def context_query(h: ad.Tensor, probe_idx, prev: ad.Tensor | None,
                   store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """Decoder query, shape (B, d).
+    """Decoder query for one step, shape (B, d).
 
-    prev is the previously selected port's embedding (None at t=1, where a
-    learned start embedding is used). With both context networks disabled
-    the query falls back to the mean port embedding.
+    prev is the previously selected port's embedding (B, d), or None at
+    t=1, where a learned start embedding is used.
     """
-    parts = []
-    if cfg.use_pcn:
-        h_probe = ad.take_rows(h, np.asarray(probe_idx))
-        parts.append(_mlp(h_probe, store, "pcn1", "pcn2"))
+    bsz, d = h.shape[0], cfg.d_model
     if cfg.use_rcn:
-        h_prev = prev if prev is not None \
-            else ad.reshape(store["start"], (1, cfg.d_model))
-        parts.append(_mlp(h_prev, store, "rcn1", "rcn2"))
-    if not parts:
-        parts.append(ad.mean(h, axis=1))
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return ad.linear(total, store["ctx.w"], store["ctx.b"])
+        prev = _start(bsz, store, cfg) if prev is None \
+            else ad.reshape(prev, (bsz, 1, d))
+    q = _queries(_fixed_context(h, probe_idx, store, cfg), prev, 1, store,
+                 cfg)
+    return ad.reshape(q, (bsz, d))
 
 
 def decode_step(h: ad.Tensor, query: ad.Tensor, mask: np.ndarray,
                 store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """Per-port log-probabilities (B, N); masked ports carry NEG_INF
-    (their probability is exactly zero)."""
-    if not mask.any(axis=-1).all():
-        raise ContractViolation("no feasible port left")
-    bsz, d = query.shape[0], cfg.d_model
-    q3 = ad.reshape(query, (bsz, 1, d))
-    glimpse = ad.mha(q3, h, h, store["dec.wq"], store["dec.wk"],
-                     store["dec.wv"], store["dec.wo"], cfg.n_heads)
-    keys = ad.linear(h, store["dec.key"])
-    logits = ad.scale(ad.matmul(glimpse, ad.transpose(keys, (0, 2, 1))),
-                      1.0 / np.sqrt(d))
-    logits = ad.reshape(logits, (bsz, h.shape[1]))
-    return ad.masked_log_softmax(logits, mask)
+    """Per-port log-probabilities (B, N) for one step; masked ports carry
+    NEG_INF (their probability is exactly zero)."""
+    bsz, n = mask.shape
+    logp = decode(decoder_cache(h, store, cfg),
+                  ad.reshape(query, (bsz, 1, cfg.d_model)), mask[:, None],
+                  store, cfg)
+    return ad.reshape(logp, (bsz, n))
 
 
 def step_probabilities(logp: ad.Tensor) -> np.ndarray:
@@ -197,43 +276,52 @@ def initial_mask(problems) -> np.ndarray:
 def sequence_log_prob(problems, placements, store: ad.ParamStore,
                       cfg: ModelConfig, training: bool = False,
                       update_running: bool = True) -> ad.Tensor:
-    """Teacher-forced log pi(a|x) per batch item, shape (B,)."""
+    """Teacher-forced log pi(a|x) per batch item, shape (B,).
+
+    Every step's query depends only on the probe and the previous expert
+    action, so all K steps are decoded in one pass.
+    """
     placements = [tuple(int(a) for a in pl) for pl in placements]
     ks = {len(pl) for pl in placements}
     if len(ks) != 1:
         raise ContractViolation("batch placements must share one length")
     k = ks.pop()
-    h = encode(problems, store, cfg, training, update_running)
-    mask = initial_mask(problems)
-    probes = np.array([p.probe for p in problems])
-    prev = None
-    total = None
+    if k == 0:
+        raise ContractViolation("placements must not be empty")
+    actions = np.array(placements, dtype=np.int64)
+    bsz = len(problems)
+    rows = np.arange(bsz)
+    masks = np.repeat(initial_mask(problems)[:, None], k, axis=1)
     for t in range(k):
-        actions = np.array([pl[t] for pl in placements])
-        if not mask[np.arange(len(problems)), actions].all():
+        if not masks[rows, t, actions[:, t]].all():
             raise ContractViolation("placement contains an infeasible step")
-        q = context_query(h, probes, prev, store, cfg)
-        logp = decode_step(h, q, mask, store, cfg)
-        picked = ad.take_rows(logp, actions)
-        total = picked if total is None else total + picked
-        mask = mask.copy()
-        mask[np.arange(len(problems)), actions] = False
-        prev = ad.take_rows(h, actions)
-    return total
+        masks[rows, t + 1:, actions[:, t]] = False
+    h = encode(problems, store, cfg, training, update_running)
+    probes = np.array([p.probe for p in problems])
+    cache = decoder_cache(h, store, cfg, probes)
+    prev_ports = np.concatenate(
+        [np.full((bsz, 1), START), actions[:, :-1]], axis=1)
+    logp = decode(cache, step_queries(cache, prev_ports, store, cfg), masks,
+                  store, cfg)
+    n = logp.shape[2]
+    picked = ad.take_rows(ad.reshape(logp, (bsz * k, n)), actions.reshape(-1))
+    return ad.tensor_sum(ad.reshape(picked, (bsz, k)), axis=1)
 
 
 def log_prob(problem: Problem, placement, store: ad.ParamStore,
              cfg: ModelConfig) -> float:
     """Exact sequence log-probability under the policy (inference mode)."""
-    return float(sequence_log_prob([problem], [placement], store, cfg,
-                                   training=False).data[0])
+    with ad.no_grad():
+        return float(sequence_log_prob([problem], [placement], store, cfg,
+                                       training=False).data[0])
 
 
 def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
                   mode: str, k: int, rng=None):
     """Autoregressive decode for a batch; returns [(placement, logp), ...].
 
-    Greedy mode breaks ties toward the lowest port index.
+    Each step is a one-step decode() over the same DecoderCache. Greedy
+    mode breaks ties toward the lowest port index.
     """
     if mode not in ("greedy", "sample"):
         raise ContractViolation("mode must be 'greedy' or 'sample'")
@@ -243,30 +331,31 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
         if len(feasible_actions(State(p))) < k:
             raise ContractViolation("fewer feasible ports than K")
     bsz = len(problems)
-    h = encode(problems, store, cfg, training=False)
-    mask = initial_mask(problems)
-    probes = np.array([p.probe for p in problems])
-    prev = None
-    chosen = [[] for _ in range(bsz)]
-    logps = np.zeros(bsz)
-    for _ in range(k):
-        q = context_query(h, probes, prev, store, cfg)
-        logp = decode_step(h, q, mask, store, cfg)
-        probs = step_probabilities(logp)
-        if mode == "greedy":
-            actions = np.argmax(probs, axis=1)
-        else:
-            actions = np.empty(bsz, dtype=np.int64)
-            for i in range(bsz):
-                p = probs[i] / probs[i].sum()
-                actions[i] = rng.choice(len(p), p=p)
-        logps += logp.data[np.arange(bsz), actions]
-        for i, a in enumerate(actions):
-            chosen[i].append(int(a))
-        mask = mask.copy()
-        mask[np.arange(bsz), actions] = False
-        prev = ad.take_rows(h, actions)
-    return [(tuple(c), float(lp)) for c, lp in zip(chosen, logps)]
+    rows = np.arange(bsz)
+    with ad.no_grad():
+        h = encode(problems, store, cfg, training=False)
+        cache = decoder_cache(h, store, cfg, [p.probe for p in problems])
+        mask = initial_mask(problems)
+        prev = np.full((bsz, 1), START)
+        chosen = np.empty((bsz, k), dtype=np.int64)
+        logps = np.zeros(bsz)
+        for t in range(k):
+            logp = decode(cache, step_queries(cache, prev, store, cfg),
+                          mask[:, None], store, cfg).data[:, 0]
+            probs = np.exp(logp)
+            if mode == "greedy":
+                actions = np.argmax(probs, axis=1)
+            else:
+                actions = np.empty(bsz, dtype=np.int64)
+                for i in range(bsz):
+                    p = probs[i] / probs[i].sum()
+                    actions[i] = rng.choice(len(p), p=p)
+            logps += logp[rows, actions]
+            chosen[:, t] = actions
+            mask[rows, actions] = False
+            prev = actions[:, None]
+    return [(tuple(int(a) for a in c), float(lp))
+            for c, lp in zip(chosen, logps)]
 
 
 def rollout(problem: Problem, store: ad.ParamStore, cfg: ModelConfig,

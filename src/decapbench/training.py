@@ -154,10 +154,6 @@ class TrainConfig:
         return asdict(self)
 
 
-def paper_train_config(**overrides) -> TrainConfig:
-    return TrainConfig(**overrides)
-
-
 def toy_train_config(**overrides) -> TrainConfig:
     base = dict(learning_rate=1e-3, batch_size=25, permutations=4,
                 lambda_eff=1e3, k=4, n_train=50, val_size=20,

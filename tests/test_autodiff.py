@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,34 @@ def test_grad_check_take_rows():
     assert ad.grad_check(fn, s) < 1e-6
 
 
+def test_grad_check_take_rows_2d_indices():
+    rng = make_rng(3)
+    s = store_with(h=rng.normal(size=(3, 5, 4)))
+    idx = np.array([[1, 4, 1], [0, 2, 3], [4, 4, 0]])  # repeats accumulate
+
+    def fn():
+        rows = ad.take_rows(s["h"], idx)
+        assert rows.shape == (3, 3, 4)
+        return ad.tensor_sum(ad.exp(rows))
+
+    assert ad.grad_check(fn, s) < 1e-6
+
+
+def test_grad_check_concat_and_broadcast_to():
+    rng = make_rng(10)
+    s = store_with(a=rng.normal(size=(2, 3, 4)), b=rng.normal(size=(2, 1, 4)),
+                   c=rng.normal(size=(1, 1, 4)))
+    weights = ad.Tensor(rng.normal(size=(2, 6, 4)))
+
+    def fn():
+        c = ad.broadcast_to(s["c"], (2, 2, 4))
+        x = ad.concat([s["a"], s["b"], c], axis=1)
+        assert x.shape == (2, 6, 4)
+        return ad.tensor_sum(ad.mul(ad.exp(x), weights))
+
+    assert ad.grad_check(fn, s) < 1e-6
+
+
 def test_grad_check_masked_log_softmax():
     rng = make_rng(4)
     s = store_with(z=rng.normal(size=(3, 6)))
@@ -93,6 +123,48 @@ def test_grad_check_batch_norm_training_mode():
         return ad.mean(ad.mul(y, y))
 
     assert ad.grad_check(fn, s) < 1e-5
+
+
+# --- tape lifetime ----------------------------------------------------------------
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
+    rng = make_rng(12)
+    s = store_with(w=rng.normal(size=(3, 3)), x=rng.normal(size=(2, 3)))
+
+    def fn():
+        y = ad.relu(ad.matmul(s["x"], s["w"]))
+        return y, ad.mean(ad.mul(y, y))
+
+    s.zero_grad()
+    _, kept = fn()
+    kept.backward()
+    expect = {n: t.grad.copy() for n, t in s.params.items()}
+
+    s.zero_grad()
+    y, loss = fn()
+    loss.backward()
+    for name, t in s.params.items():
+        assert np.array_equal(t.grad, expect[name])
+    for node in (y, loss):
+        assert node._parents == () and node._backward is None
+        assert node.grad is None
+    assert y.data.shape == (2, 3)   # values stay readable
+
+
+def test_no_grad_records_no_tape_on_this_thread_only():
+    s = store_with(w=np.ones(2))
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        y = ad.mul(s["w"], s["w"])   # still off after the inner block
+        seen = []
+        t = threading.Thread(
+            target=lambda: seen.append(ad.mul(s["w"], s["w"]).requires_grad))
+        t.start()
+        t.join(timeout=10)
+    assert not t.is_alive() and seen == [True]
+    assert not y.requires_grad and y._parents == ()
+    assert ad.mul(s["w"], s["w"]).requires_grad
 
 
 # --- masked softmax exactness -----------------------------------------------------

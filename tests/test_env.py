@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +95,38 @@ def test_evaluator_rejects_wrong_board(eval3):
     p = Problem(4, 4, 0, frozenset())
     with pytest.raises(ContractViolation):
         eval3.evaluate(p, (1,))
+    with pytest.raises(ContractViolation):
+        eval3.bare_profile(p)
+    with pytest.raises(ContractViolation):
+        eval3.final_profile(p, (1,))
+
+
+def test_evaluator_shared_between_threads(eval3, monkeypatch):
+    # One bare sweep and one count per call, however the threads interleave.
+    p = Problem(3, 3, 4, frozenset())
+    placements = [(i % 4, 8 - i % 4) for i in range(400)]
+    serial = {pl: eval3.evaluate(p, pl) for pl in placements[:4]}
+    sweeps = []
+    real_solve = env.pdn.solve_z_ports
+
+    def counted_solve(*args, **kwargs):
+        sweeps.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(env.pdn, "solve_z_ports", counted_solve)
+    fresh = Evaluator(eval3.config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(fresh.evaluate, p, pl)
+                       for pl in placements]
+            scores = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(sweeps) == 1
+    assert fresh.count == 400
+    assert scores == [serial[pl] for pl in placements]
 
 
 def test_problem_file_round_trip(tmp_path):

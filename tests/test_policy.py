@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from decapbench import autodiff as ad
 from decapbench import policy as pol
 from decapbench.env import Problem, gen_problem_set
 from decapbench.errors import ContractViolation
@@ -50,6 +51,77 @@ def test_rollout_log_prob_matches_sequence_log_prob():
     g_placement, g_lp = pol.rollout(p, store, CFG, "greedy", k=3)
     assert g_lp == pytest.approx(pol.log_prob(p, g_placement, store, CFG),
                                  abs=1e-12)
+
+
+def step_by_step_log_prob(problems, placements, store, cfg):
+    """Reference: one public context_query/decode_step call per step."""
+    h = pol.encode(problems, store, cfg, training=True, update_running=False)
+    mask = pol.initial_mask(problems)
+    probes = np.array([p.probe for p in problems])
+    prev = total = None
+    for t in range(len(placements[0])):
+        actions = np.array([pl[t] for pl in placements])
+        q = pol.context_query(h, probes, prev, store, cfg)
+        picked = ad.take_rows(pol.decode_step(h, q, mask, store, cfg), actions)
+        total = picked if total is None else total + picked
+        mask = mask.copy()
+        mask[np.arange(len(problems)), actions] = False
+        prev = ad.take_rows(h, actions)
+    return total
+
+
+@pytest.mark.parametrize("overrides,k", [
+    ({}, 4), ({"use_pcn": False}, 4), ({"use_rcn": False}, 4),
+    ({"use_pcn": False, "use_rcn": False}, 3),
+    ({"ppe_mode": "delta-and-norm"}, 4), ({}, 1)])
+def test_one_pass_sequence_log_prob_matches_step_by_step(overrides, k):
+    cfg = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32,
+                         **overrides)
+    store = pol.init_params(cfg)
+    problems = gen_problem_set(8, 3, 4, 4, 3)
+    rng = make_rng(9)
+    placements = [tuple(int(a) for a in rng.permutation(p.allowed_ports)[:k])
+                  for p in problems]
+
+    def value_and_grads(fn):
+        store.zero_grad()
+        lps = fn()
+        ad.tensor_sum(lps).backward()
+        return lps.data, {n: t.grad.copy() for n, t in store.params.items()
+                          if t.grad is not None}
+
+    one_pass = value_and_grads(lambda: pol.sequence_log_prob(
+        problems, placements, store, cfg, training=True,
+        update_running=False))
+    reference = value_and_grads(lambda: step_by_step_log_prob(
+        problems, placements, store, cfg))
+    assert one_pass[0] == pytest.approx(reference[0], abs=1e-12)
+    assert one_pass[1].keys() == reference[1].keys()
+    # atol is the round-off floor for gradients that are zero in exact
+    # arithmetic, e.g. the bias feeding a batch norm.
+    for name, g in reference[1].items():
+        np.testing.assert_allclose(one_pass[1][name], g, rtol=1e-10,
+                                   atol=1e-12, err_msg=name)
+
+
+def test_inference_records_no_tape(monkeypatch):
+    # The live store requires grad; rollouts and log_prob return floats, so
+    # they must not record a tape for it.
+    store = pol.init_params(CFG)
+    p = gen_problem_set(1, 1, 4, 4, 3)[0]
+    encodings = []
+    real_encode = pol.encode
+
+    def spy(*args, **kwargs):
+        encodings.append(real_encode(*args, **kwargs))
+        return encodings[-1]
+
+    monkeypatch.setattr(pol, "encode", spy)
+    placement, _ = pol.rollout(p, store, CFG, "greedy", k=2)
+    pol.log_prob(p, placement, store, CFG)
+    assert len(encodings) == 2
+    assert not any(h.requires_grad for h in encodings)
+    assert pol.sequence_log_prob([p], [placement], store, CFG).requires_grad
 
 
 def test_greedy_rollout_deterministic():
