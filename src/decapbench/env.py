@@ -7,17 +7,44 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pdn
-from .errors import ContractViolation
+from .errors import ContractViolation, check_schema
 
 ALLOWED, KEEPOUT, PROBE = 0, 1, 2
 
 PROBLEM_SCHEMA_VERSION = 1
+
+_INDEX_SCHEMA = {"type": "integer", "minimum": 0}
+
+PROBLEM_FILE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "schema_version": {"const": PROBLEM_SCHEMA_VERSION},
+        "problems": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": {
+                    "rows": {"type": "integer", "minimum": 1},
+                    "cols": {"type": "integer", "minimum": 1},
+                    "probe": _INDEX_SCHEMA,
+                    "keepout": {"type": "array", "items": _INDEX_SCHEMA},
+                },
+                "required": ["rows", "cols", "probe", "keepout"],
+                "additionalProperties": False,
+            },
+        },
+    },
+    "required": ["schema_version", "problems"],
+    "additionalProperties": False,
+}
 
 
 @dataclass(frozen=True)
@@ -51,7 +78,8 @@ class Problem:
 
     @staticmethod
     def from_dict(d: dict) -> "Problem":
-        return Problem(d["rows"], d["cols"], d["probe"], frozenset(d["keepout"]))
+        return Problem(int(d["rows"]), int(d["cols"]), int(d["probe"]),
+                       frozenset(int(k) for k in d["keepout"]))
 
     def canonical_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -92,15 +120,35 @@ def gen_problem(rng, n_rows: int, n_cols: int, keepout_max: int) -> Problem:
     return Problem(n_rows, n_cols, probe, frozenset(int(k) for k in keepout))
 
 
+def problem_space_size(n_rows: int, n_cols: int, keepout_max: int) -> int:
+    """Number of distinct problems gen_problem can return: a probe and a
+    keep-out set of at most keepout_max of the other ports."""
+    n = n_rows * n_cols
+    return n * sum(math.comb(n - 1, j) for j in range(keepout_max + 1))
+
+
 def gen_problem_set(seed, count: int, n_rows: int, n_cols: int,
                     keepout_max: int, exclude_hashes=()) -> list:
-    """count distinct problems, disjoint from exclude_hashes by rejection."""
+    """count distinct problems, disjoint from exclude_hashes by rejection.
+
+    Raises ContractViolation as soon as the problems not yet drawn cannot
+    complete the request, so a request larger than the distinct-problem
+    space fails instead of looping forever.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
+    space = problem_space_size(n_rows, n_cols, keepout_max)
     seen = set(exclude_hashes)
+    drawn = set()
     out = []
     while len(out) < count:
+        if count - len(out) > space - len(drawn):
+            raise ContractViolation(
+                f"cannot draw {count} distinct problems: {space} exist on a "
+                f"{n_rows}x{n_cols} board with at most {keepout_max} "
+                f"keep-outs, less any excluded")
         p = gen_problem(rng, n_rows, n_cols, keepout_max)
         h = p.canonical_hash()
+        drawn.add(h)
         if h in seen:
             continue
         seen.add(h)
@@ -120,11 +168,19 @@ def step(state: State, action: int) -> State:
 
 
 def validate_placement(problem: Problem, placement) -> tuple:
-    """Check the trajectory is feasible step by step; return it as a tuple."""
-    s = State(problem)
-    for a in placement:
-        s = step(s, int(a))
-    return s.chosen
+    """Check the trajectory is feasible step by step: every port on the
+    board, distinct, and neither the probe nor a keep-out. Return it as a
+    tuple of ints."""
+    chosen = tuple(int(a) for a in placement)
+    free = [True] * problem.n_ports
+    for p in problem.keepout:
+        free[p] = False
+    free[problem.probe] = False
+    for a in chosen:
+        if not (0 <= a < len(free) and free[a]):
+            raise ContractViolation(f"infeasible action {a}")
+        free[a] = False
+    return chosen
 
 
 def encode_features(problem: Problem) -> np.ndarray:
@@ -203,6 +259,5 @@ def write_problem_file(path, problems) -> None:
 def read_problem_file(path) -> list:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != PROBLEM_SCHEMA_VERSION:
-        raise ContractViolation("unsupported problem file schema version")
+    check_schema(doc, PROBLEM_FILE_SCHEMA, "problem file")
     return [Problem.from_dict(d) for d in doc["problems"]]

@@ -1,4 +1,5 @@
-"""Shared exception types, mapped to CLI exit codes."""
+"""Shared exception types, mapped to CLI exit codes, and the schema check
+that turns a malformed input file into a ContractViolation."""
 
 
 class ContractViolation(ValueError):
@@ -12,3 +13,12 @@ class NumericFailure(RuntimeError):
     def __init__(self, message, frequency_index=None):
         super().__init__(message)
         self.frequency_index = frequency_index
+
+
+def check_schema(doc, schema: dict, what: str) -> None:
+    """Raise ContractViolation unless doc matches the JSON schema."""
+    import jsonschema
+    try:
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        raise ContractViolation(f"bad {what}: {exc.message}") from exc

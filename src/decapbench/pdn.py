@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ContractViolation, NumericFailure
+from .errors import ContractViolation, NumericFailure, check_schema
 
 TWO_PI = 2.0 * np.pi
 
@@ -273,43 +273,51 @@ class StackTopology:
         return y.tocsc()
 
 
-def assemble_admittance(spec: StackSpec, f_hz: float) -> sp.csc_matrix:
-    """Nodal admittance matrix of the stack at one frequency."""
-    return StackTopology(spec).admittance(f_hz)
-
-
 @dataclass(frozen=True)
 class FrequencySweepZ:
     """Port impedance matrices over a frequency grid.
 
-    ports are chip cell indices; z has shape (n_freq, n_ports, n_ports).
+    ports are chip cell indices. Ports that share a network node (chip
+    cells merged into one package node by an ideal via) share one row and
+    column: z has shape (n_freq, n_nodes, n_nodes) over the distinct port
+    nodes in order of first appearance, and ports[i] reads row port_rows[i].
+    When every port is its own node, z is (n_freq, n_ports, n_ports).
     """
     ports: tuple
     grid: FreqGrid
     z: np.ndarray = field(repr=False)
+    port_rows: np.ndarray = field(repr=False)
 
     def port_index(self, port: int) -> int:
         try:
-            return self.ports.index(port)
+            return int(self.port_rows[self.ports.index(port)])
         except ValueError:
             raise ContractViolation(f"port {port} not in sweep") from None
 
 
 def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid,
                   topology: StackTopology | None = None) -> FrequencySweepZ:
-    """Z[i][j](f) = voltage at port i for unit current injected at port j."""
+    """Z[i][j](f) = voltage at port i for unit current injected at port j.
+
+    One right-hand side per distinct port node: ports on one node have the
+    same column, so each is solved (and residual-checked) once.
+    """
     ports = tuple(int(p) for p in ports)
     if len(set(ports)) != len(ports):
         raise ContractViolation("ports must be distinct")
     topo = topology if topology is not None else StackTopology(spec)
     if any(p < 0 or p >= spec.chip.n_cells for p in ports):
         raise ContractViolation("ports must be chip cell indices")
-    nodes = topo.chip_port_nodes[list(ports)]
-    n, npts = topo.n_nodes, len(ports)
+    row_of_node = {}  # distinct port node -> row of z, first appearance first
+    port_rows = np.array([row_of_node.setdefault(node, len(row_of_node))
+                          for node in topo.chip_port_nodes[list(ports)]],
+                         dtype=np.int64)
+    nodes = np.array(list(row_of_node), dtype=np.int64)
+    n, nd = topo.n_nodes, len(nodes)
     freqs = grid.points
-    z = np.empty((len(freqs), npts, npts), dtype=np.complex128)
-    rhs = np.zeros((n, npts), dtype=np.complex128)
-    rhs[nodes, np.arange(npts)] = 1.0
+    z = np.empty((len(freqs), nd, nd), dtype=np.complex128)
+    rhs = np.zeros((n, nd), dtype=np.complex128)
+    rhs[nodes, np.arange(nd)] = 1.0
     for k, f in enumerate(freqs):
         y = topo.admittance(f)
         try:
@@ -321,7 +329,7 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid,
         if not np.all(np.isfinite(v)) or np.max(resid) > SOLVE_RESIDUAL_TOL:
             raise NumericFailure(f"nodal solve failed at {f:g} Hz", k)
         z[k] = v[nodes, :]
-    return FrequencySweepZ(ports, grid, z)
+    return FrequencySweepZ(ports, grid, z, port_rows)
 
 
 def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,
@@ -464,11 +472,7 @@ class SimConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SimConfig":
-        import jsonschema
-        try:
-            jsonschema.validate(d, SIM_CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ContractViolation(f"bad simulator config: {exc.message}") from exc
+        check_schema(d, SIM_CONFIG_SCHEMA, "simulator config")
         stack = StackSpec(
             chip=_grid_from_dict(d["chip"]),
             package=_grid_from_dict(d["package"]) if "package" in d else None,

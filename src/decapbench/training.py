@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import policy as pol
 from .env import (Evaluator, Problem, State, feasible_actions, gen_problem,
-                  gen_problem_set)
+                  gen_problem_set, problem_space_size)
 from .errors import ContractViolation, NumericFailure
 from .search import ExpertRecord
 
@@ -278,9 +278,19 @@ class TrainResult:
 
 
 def _self_problem_stream(cfg: TrainConfig, excluded_hashes, rng):
+    """Endless random problems outside excluded_hashes (repeats allowed).
+    Raises ContractViolation once every possible problem was drawn and
+    found excluded."""
+    space = problem_space_size(cfg.n_rows, cfg.n_cols, cfg.keepout_max)
+    rejected = set()
     while True:
         p = gen_problem(rng, cfg.n_rows, cfg.n_cols, cfg.keepout_max)
-        if p.canonical_hash() in excluded_hashes:
+        h = p.canonical_hash()
+        if h in excluded_hashes:
+            rejected.add(h)
+            if len(rejected) == space:
+                raise ContractViolation(
+                    "every self-term problem is excluded by validation")
             continue
         yield p
 

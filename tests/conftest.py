@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,27 @@ def eval5_full():
 
 def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _run_with_timeout(fn, timeout_s=60):
+    """fn's exception (or None) from a daemon thread, so that an endless
+    loop fails the test instead of hanging the suite."""
+    outcome = []
+
+    def target():
+        try:
+            fn()
+            outcome.append(None)
+        except Exception as exc:  # handed back to the test
+            outcome.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout_s)
+    assert not worker.is_alive(), "call did not return"
+    return outcome[0]
+
+
+@pytest.fixture
+def run_with_timeout():
+    return _run_with_timeout

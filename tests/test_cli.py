@@ -163,6 +163,17 @@ def test_exit_code_io_error(tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["min-k", "baselines", "eval"])
+def test_exit_code_malformed_problem_file(tmp_path, checkpoint, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1, "problems": [{"rows": 3}]}')
+    args = {"min-k": ("--target", 1, "--k-max", 1),
+            "baselines": ("--k", 2, "--out", tmp_path / "r.json"),
+            "eval": ("--checkpoint", checkpoint, "--k", 2,
+                     "--out", tmp_path / "e.json")}[command]
+    assert run(command, "--problems", bad, *args) == EXIT_CONTRACT
+
+
 def test_exit_code_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

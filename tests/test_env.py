@@ -1,3 +1,4 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -56,8 +57,48 @@ def test_feasible_and_step():
 def test_validate_placement_round_trip():
     p = Problem(3, 3, 4, frozenset({0}))
     assert validate_placement(p, [1, 8]) == (1, 8)
-    with pytest.raises(ContractViolation):
-        validate_placement(p, [1, 1])
+    out = validate_placement(p, np.array([8, 1, 2]))
+    assert out == (8, 1, 2) and all(type(a) is int for a in out)
+    assert validate_placement(p, []) == ()
+    for bad in ([1, 1], [2, 8, 2], [0], [1, 4], [9], [-1], [3, 12]):
+        with pytest.raises(ContractViolation):
+            validate_placement(p, bad)
+
+
+def unbounded_gen_problem_set(seed, count, n_rows, n_cols, keepout_max,
+                              exclude_hashes=()):
+    """The rejection loop without a bound: the reference for the draws."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    seen, out = set(exclude_hashes), []
+    while len(out) < count:
+        p = gen_problem(rng, n_rows, n_cols, keepout_max)
+        if p.canonical_hash() not in seen:
+            seen.add(p.canonical_hash())
+            out.append(p)
+    return out
+
+
+def test_gen_problem_set_same_draws_as_unbounded_loop():
+    cases = [((0, 30, 4, 4, 3), ()), ((4, 6, 2, 2, 1), ()),
+             ((5, 16, 2, 2, 1), ()),   # the whole space of 2x2, <= 1 keep-out
+             ((1, 10, 4, 4, 3), {p.canonical_hash()
+                                 for p in gen_problem_set(0, 30, 4, 4, 3)})]
+    for args, excluded in cases:
+        assert gen_problem_set(*args, exclude_hashes=excluded) == \
+            unbounded_gen_problem_set(*args, exclude_hashes=excluded)
+
+
+def test_gen_problem_set_rejects_requests_beyond_the_problem_space(
+        run_with_timeout):
+    assert env.problem_space_size(2, 1, 0) == 2
+    assert env.problem_space_size(2, 2, 1) == 4 * (1 + 3)
+    assert isinstance(run_with_timeout(lambda: gen_problem_set(0, 5, 2, 1, 0)),
+                      ContractViolation)
+    both = gen_problem_set(0, 2, 2, 1, 0)
+    one = {both[0].canonical_hash()}
+    assert gen_problem_set(3, 1, 2, 1, 0, exclude_hashes=one) == [both[1]]
+    assert isinstance(run_with_timeout(lambda: gen_problem_set(
+        3, 2, 2, 1, 0, exclude_hashes=one)), ContractViolation)
 
 
 def test_encode_features_shape_and_onehot():
@@ -135,3 +176,31 @@ def test_problem_file_round_trip(tmp_path):
     env.write_problem_file(path, probs)
     again = env.read_problem_file(path)
     assert again == probs
+    # JSON Schema counts 3.0 as an integer; it reads back as the int 3.
+    path.write_text(json.dumps({"schema_version": 1, "problems": [
+        {"rows": 3.0, "cols": 3, "probe": 4.0, "keepout": [1.0]}]}))
+    assert env.read_problem_file(path) == [Problem(3, 3, 4, frozenset({1}))]
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema_version": 1, "problems": [{"rows": 3}]},
+    {"schema_version": 2, "problems": []},
+    {"problems": []},
+    [],
+    {"schema_version": 1, "problems": {}},
+    {"schema_version": 1, "problems": [
+        {"rows": 3, "cols": 3, "probe": "4", "keepout": []}]},
+    {"schema_version": 1, "problems": [
+        {"rows": 3, "cols": 3, "probe": 4, "keepout": [-1]}]},
+    {"schema_version": 1, "problems": [
+        {"rows": 0, "cols": 3, "probe": 0, "keepout": []}]},
+    {"schema_version": 1, "problems": [
+        {"rows": 3, "cols": 3, "probe": 9, "keepout": []}]},
+    {"schema_version": 1, "problems": [
+        {"rows": 3, "cols": 3, "probe": 4, "keepout": [], "extra": 1}]},
+])
+def test_malformed_problem_file_is_a_contract_violation(tmp_path, doc):
+    path = tmp_path / "problems.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolation):
+        env.read_problem_file(path)

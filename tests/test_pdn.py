@@ -5,9 +5,12 @@ element-by-element stamping, no shared code paths with the package) so any
 structural bug in the fast implementation shows up as a disagreement.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from decapbench import pdn
 from decapbench.errors import ContractViolation, NumericFailure
@@ -52,6 +55,79 @@ def oracle_z_with_decaps(config, probe, decap_ports, f_hz):
     return abs(v[probe])
 
 
+def oracle_stack_nodes(spec):
+    """Node of every chip cell and every package cell, rebuilt without the
+    package's union-find. With an ideal via each chip cell is its nearest
+    package node (ties to the lower package index); otherwise the chip cells
+    keep their own nodes, numbered ahead of the package's."""
+    chip, pkg = spec.chip, spec.package
+    wc, wp = chip.cell.width_meter, pkg.cell.width_meter
+    off_x = (pkg.n_cols * wp - chip.n_cols * wc) / 2.0
+    off_y = (pkg.n_rows * wp - chip.n_rows * wc) / 2.0
+    nearest = []
+    for r in range(chip.n_rows):
+        for c in range(chip.n_cols):
+            x, y = (c + 0.5) * wc + off_x, (r + 0.5) * wc + off_y
+            best, best_d2 = -1, math.inf
+            for pr in range(pkg.n_rows):
+                for pc in range(pkg.n_cols):
+                    d2 = ((x - (pc + 0.5) * wp) ** 2
+                          + (y - (pr + 0.5) * wp) ** 2)
+                    if d2 < best_d2:
+                        best, best_d2 = pr * pkg.n_cols + pc, d2
+            nearest.append(best)
+    if spec.via_inductance_henry == 0.0:
+        return nearest, list(range(pkg.n_cells)), nearest
+    n_chip = chip.n_cells
+    return (list(range(n_chip)), [n_chip + i for i in range(pkg.n_cells)],
+            nearest)
+
+
+def oracle_admittance_stack(spec, f_hz):
+    """Dense nodal admittance of a chip-on-package stack, stamped one
+    element at a time. Returns it with the node of every chip cell."""
+    chip_node, pkg_node, nearest = oracle_stack_nodes(spec)
+    n = max(chip_node + pkg_node) + 1
+    w = TWO_PI * f_hz
+    y = np.zeros((n, n), dtype=complex)
+
+    def stamp(a, b, y_ab):
+        y[a, a] += y_ab
+        y[b, b] += y_ab
+        y[a, b] -= y_ab
+        y[b, a] -= y_ab
+
+    for grid, node in ((spec.chip, chip_node), (spec.package, pkg_node)):
+        cell = grid.cell
+        y_series = 1.0 / (cell.resistance_ohm + 1j * w * cell.inductance_henry)
+        for r in range(grid.n_rows):
+            for c in range(grid.n_cols):
+                i = node[r * grid.n_cols + c]
+                y[i, i] += (cell.conductance_siemens
+                            + 1j * w * cell.capacitance_farad)
+                if c + 1 < grid.n_cols:
+                    stamp(i, node[r * grid.n_cols + c + 1], y_series)
+                if r + 1 < grid.n_rows:
+                    stamp(i, node[(r + 1) * grid.n_cols + c], y_series)
+    if spec.via_inductance_henry > 0.0:
+        y_via = 1.0 / (1j * w * spec.via_inductance_henry)
+        for i in range(spec.chip.n_cells):
+            stamp(chip_node[i], pkg_node[nearest[i]], y_via)
+    return y, chip_node
+
+
+def oracle_stack_z_with_decaps(spec, decap, probe, decap_ports, f_hz):
+    """Complex Z at the probe of a package stack by a dense re-solve with
+    each decap stamped as a shunt on its port's node."""
+    y, chip_node = oracle_admittance_stack(spec, f_hz)
+    zd = pdn.decap_impedance(decap, f_hz)
+    for p in decap_ports:
+        y[chip_node[p], chip_node[p]] += 1.0 / zd
+    rhs = np.zeros(len(y), dtype=complex)
+    rhs[chip_node[probe]] = 1.0
+    return np.linalg.solve(y, rhs)[chip_node[probe]]
+
+
 # --- hand-solved cases ----------------------------------------------------------
 
 def test_single_cell_impedance_closed_form():
@@ -88,7 +164,7 @@ def test_admittance_matches_stamp_oracle():
     for rows, cols in ((1, 3), (2, 2), (3, 4), (5, 5)):
         spec = pdn.StackSpec(chip=pdn.GridSpec(rows, cols, pdn.CHIP_CELL))
         for f in (2e8, 1e9, 2e10):
-            fast = pdn.assemble_admittance(spec, f).toarray()
+            fast = pdn.StackTopology(spec).admittance(f).toarray()
             slow = oracle_admittance_chip_only(rows, cols, pdn.CHIP_CELL, f)
             assert np.allclose(fast, slow, rtol=1e-13, atol=1e-16)
 
@@ -156,6 +232,122 @@ def test_attach_no_decaps_returns_bare_profile():
     assert np.array_equal(prof, np.abs(sweep.z[:, 1, 1]))
 
 
+# --- package stacks: ports merged into shared nodes --------------------------
+
+def small_package_stack(via_l):
+    """4x4 chip (1.2 mm) on a 3x3 package (1.5 mm). With an ideal via the
+    16 chip cells fall into 9 package nodes, 1, 2 or 4 cells each."""
+    return pdn.StackSpec(chip=pdn.GridSpec(4, 4, pdn.CHIP_CELL),
+                         package=pdn.GridSpec(3, 3, pdn.PACKAGE_CELL),
+                         via_inductance_henry=via_l)
+
+
+@pytest.mark.parametrize("via_l, n_rows", [(0.0, 9), (20e-12, 16)])
+def test_package_stack_sweep_matches_dense_oracle(via_l, n_rows):
+    spec = small_package_stack(via_l)
+    grid = pdn.make_freq_grid(5, 2e8, 2e10)
+    sweep = pdn.solve_z_ports(spec, range(16), grid)
+    assert sweep.z.shape == (5, n_rows, n_rows)
+    for k, f in enumerate(grid.points):
+        y, chip_node = oracle_admittance_stack(spec, f)
+        z_dense = np.linalg.inv(y)
+        for i in range(16):
+            for j in range(16):
+                fast = sweep.z[k, sweep.port_index(i), sweep.port_index(j)]
+                slow = z_dense[chip_node[i], chip_node[j]]
+                assert fast == pytest.approx(slow, rel=1e-9)
+
+
+@pytest.mark.parametrize("via_l", [0.0, 20e-12])
+def test_package_stack_attach_decaps_matches_dense_oracle(via_l):
+    spec = small_package_stack(via_l)
+    decap = pdn.DecapModel()
+    grid = pdn.make_freq_grid(7, 2e8, 2e10)
+    sweep = pdn.solve_z_ports(spec, range(16), grid)
+    # Cells 1 and 2 share one package node with an ideal via, as do 5, 6,
+    # 9 and 10: two decaps on one node, and decaps on the probe's node.
+    cases = [(0, [1, 2]), (0, [1, 2, 15]), (5, [6]), (5, [6, 9, 10, 3])]
+    rng = np.random.Generator(np.random.PCG64(8))
+    for _ in range(6):
+        probe = int(rng.integers(16))
+        others = [p for p in range(16) if p != probe]
+        k = int(rng.integers(1, 6))
+        cases.append((probe, [int(p) for p in
+                              rng.choice(others, size=k, replace=False)]))
+    for probe, ports in cases:
+        fast = pdn.attach_decaps(sweep, probe, ports, decap)
+        for k, f in enumerate(grid.points):
+            slow = abs(oracle_stack_z_with_decaps(spec, decap, probe,
+                                                  ports, f))
+            assert fast[k] == pytest.approx(slow, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, ports", [
+    (small_package_stack(0.0), list(range(16))),
+    (small_package_stack(0.0), [15, 3, 6, 5, 0, 10, 2, 1]),
+    (small_package_stack(20e-12), list(range(16))),
+    (pdn.chip_only_config(3, 3).stack, list(range(9))),
+])
+def test_compact_sweep_bit_identical_to_one_solve_per_port(spec, ports):
+    grid = pdn.make_freq_grid(4, 2e8, 2e10)
+    sweep = pdn.solve_z_ports(spec, ports, grid)
+    topo = pdn.StackTopology(spec)
+    nodes = topo.chip_port_nodes[ports]
+    first_seen = list(dict.fromkeys(nodes.tolist()))
+    assert sweep.z.shape[1:] == (len(first_seen), len(first_seen))
+    assert [sweep.port_index(p) for p in ports] == \
+        [first_seen.index(v) for v in nodes.tolist()]
+    rows = [sweep.port_index(p) for p in ports]
+    rhs = np.zeros((topo.n_nodes, len(ports)), dtype=complex)
+    rhs[nodes, np.arange(len(ports))] = 1.0
+    for k, f in enumerate(grid.points):
+        per_port = splu(topo.admittance(f)).solve(rhs)[nodes, :]
+        assert np.array_equal(sweep.z[k][np.ix_(rows, rows)], per_port)
+    if len(first_seen) == len(ports):
+        assert rows == list(range(len(ports)))
+
+
+def test_paper_stack_has_36_distinct_port_nodes():
+    cfg = pdn.paper_scale_config()
+    topo = pdn.StackTopology(cfg.stack)
+    assert len(set(topo.chip_port_nodes.tolist())) == 36
+    sweep = pdn.solve_z_ports(cfg.stack, range(100), pdn.FreqGrid((1e9,)),
+                              topology=topo)
+    assert sweep.z.shape == (1, 36, 36)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chip_rows=st.integers(1, 4), chip_cols=st.integers(1, 4),
+       extra_rows=st.integers(0, 2), extra_cols=st.integers(0, 2),
+       via_l=st.sampled_from([0.0, 5e-12, 50e-12]), data=st.data())
+def test_package_stack_reciprocal_passive_and_permutation_invariant(
+        chip_rows, chip_cols, extra_rows, extra_cols, via_l, data):
+    # 0.3 mm chip cells, 0.5 mm package cells: ceil(0.6 n) package cells
+    # cover n chip cells.
+    spec = pdn.StackSpec(
+        chip=pdn.GridSpec(chip_rows, chip_cols, pdn.CHIP_CELL),
+        package=pdn.GridSpec(math.ceil(0.6 * chip_rows) + extra_rows,
+                             math.ceil(0.6 * chip_cols) + extra_cols,
+                             pdn.PACKAGE_CELL),
+        via_inductance_henry=via_l)
+    n = spec.chip.n_cells
+    grid = pdn.make_freq_grid(3, 2e8, 2e10)
+    sweep = pdn.solve_z_ports(spec, range(n), grid)
+    z = sweep.z
+    assert np.all(np.abs(z - np.transpose(z, (0, 2, 1)))
+                  <= 1e-10 * np.abs(z).max())
+    assert np.real(np.diagonal(z, axis1=1, axis2=2)).min() > 0
+    assume(n > 1)
+    probe = data.draw(st.integers(0, n - 1))
+    ports = data.draw(st.lists(st.integers(0, n - 1).filter(
+        lambda p: p != probe), min_size=1, max_size=min(5, n - 1),
+        unique=True))
+    shuffled = data.draw(st.permutations(ports))
+    decap = pdn.DecapModel()
+    assert np.array_equal(pdn.attach_decaps(sweep, probe, ports, decap),
+                          pdn.attach_decaps(sweep, probe, shuffled, decap))
+
+
 # --- physical properties ----------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -163,7 +355,7 @@ def test_attach_no_decaps_returns_bare_profile():
        f=st.floats(2e8, 2e10))
 def test_admittance_symmetric_and_passive(rows, cols, f):
     spec = pdn.StackSpec(chip=pdn.GridSpec(rows, cols, pdn.CHIP_CELL))
-    y = pdn.assemble_admittance(spec, f).toarray()
+    y = pdn.StackTopology(spec).admittance(f).toarray()
     assert np.allclose(y, y.T, rtol=0, atol=0)
     # Real part positive semidefinite (passive network).
     eig = np.linalg.eigvalsh(y.real)

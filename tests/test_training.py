@@ -6,7 +6,7 @@ import pytest
 from decapbench import autodiff as ad
 from decapbench import policy as pol
 from decapbench import training as tr
-from decapbench.env import Problem, gen_problem_set
+from decapbench.env import Problem, gen_problem, gen_problem_set
 from decapbench.errors import ContractViolation
 from decapbench.search import ExpertRecord, ga_solve, GaConfig
 
@@ -204,3 +204,21 @@ def test_train_deterministic_given_seed(eval3):
     assert a.log_rows == b.log_rows
     for name in a.store.params:
         assert np.array_equal(a.store[name].data, b.store[name].data)
+
+
+def test_self_problem_stream_same_draws_and_bounded(run_with_timeout):
+    cfg = tr.TrainConfig(n_rows=2, n_cols=2, keepout_max=1)
+    excluded = {p.canonical_hash() for p in gen_problem_set(0, 10, 2, 2, 1)}
+    stream = tr._self_problem_stream(cfg, excluded, make_rng(3))
+    drawn = [next(stream) for _ in range(20)]
+    rng = make_rng(3)
+    expect = []
+    while len(expect) < 20:
+        p = gen_problem(rng, 2, 2, 1)
+        if p.canonical_hash() not in excluded:
+            expect.append(p)
+    assert drawn == expect
+    every = {p.canonical_hash() for p in gen_problem_set(0, 16, 2, 2, 1)}
+    stream = tr._self_problem_stream(cfg, every, make_rng(3))
+    assert isinstance(run_with_timeout(lambda: next(stream)),
+                      ContractViolation)
