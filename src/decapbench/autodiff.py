@@ -1,10 +1,10 @@
 """Minimal dense-tensor reverse-mode differentiation.
 
 The op set is deliberately closed: exactly what the placement policy needs
-(linear maps, multi-head attention, batch norm, masked softmax, elementwise
-nonlinearities) plus a finite-difference gradient checker. All data is
-float64 and all reductions use numpy's fixed order, so two identical
-backward passes produce bit-identical gradients.
+(linear maps, multi-head attention, batch norm, softmax and masked
+log-softmax, elementwise nonlinearities) plus a finite-difference gradient
+checker. All data is float64 and all reductions use numpy's fixed order, so
+two identical backward passes produce bit-identical gradients.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def item(self) -> float:
         return float(self.data)
@@ -309,39 +306,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return y if b is None else add(y, b)
 
 
-def masked_softmax(logits: Tensor, mask=None) -> Tensor:
-    """Softmax over the last axis; masked entries are exactly 0.
-
-    mask is a boolean array broadcastable to logits (True = allowed).
-    """
+def softmax(logits: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     x = logits.data
-    if mask is None:
-        allowed = np.ones(x.shape, dtype=bool)
-    else:
-        allowed = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not allowed.any(axis=-1).all():
-            raise ContractViolation("masked_softmax: a row is fully masked")
-    shifted = x - np.max(np.where(allowed, x, -np.inf), axis=-1, keepdims=True)
-    e = np.where(allowed, np.exp(np.where(allowed, shifted, 0.0)), 0.0)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        g = g * allowed
         dot = (g * p).sum(axis=-1, keepdims=True)
         _accum(logits, p * (g - dot))
 
     return _make(p, (logits,), backward)
 
 
-def masked_log_softmax(logits: Tensor, mask=None) -> Tensor:
-    """Log-softmax over the last axis; masked entries hold NEG_INF."""
+def masked_log_softmax(logits: Tensor, mask) -> Tensor:
+    """Log-softmax over the last axis; masked entries hold NEG_INF.
+
+    mask is a boolean array broadcastable to logits (True = allowed).
+    """
     x = logits.data
-    if mask is None:
-        allowed = np.ones(x.shape, dtype=bool)
-    else:
-        allowed = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not allowed.any(axis=-1).all():
-            raise ContractViolation("masked_log_softmax: a row is fully masked")
+    allowed = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    if not allowed.any(axis=-1).all():
+        raise ContractViolation("masked_log_softmax: a row is fully masked")
     xm = np.where(allowed, x, -np.inf)
     mx = np.max(xm, axis=-1, keepdims=True)
     e = np.where(allowed, np.exp(np.where(allowed, x - mx, 0.0)), 0.0)
@@ -412,7 +398,7 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, wo: Tensor) -> Tensor:
     with output projection: (B, Tq, heads * dh)."""
     bsz, n_heads, tq, dh = qh.shape
     scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = masked_softmax(scores)
+    attn = softmax(scores)
     ctx = matmul(attn, vh)  # (B, h, Tq, dh)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, tq, n_heads * dh))
     return linear(ctx, wo)
@@ -465,12 +451,6 @@ class ParamStore:
         for name, b in self.buffers.items():
             out.buffers[name] = b.copy()
         return out
-
-    def load_from(self, other: "ParamStore") -> None:
-        for name, t in self.params.items():
-            t.data[...] = other.params[name].data
-        for name in self.buffers:
-            self.buffers[name][...] = other.buffers[name]
 
 
 def xavier_uniform(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:

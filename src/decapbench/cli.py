@@ -16,8 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import pdn, policy as pol, training
-from .env import (Evaluator, Problem, State, feasible_actions,
-                  gen_problem_set, read_problem_file, write_problem_file)
+from .env import (Evaluator, Problem, gen_problem_set, read_problem_file,
+                  write_problem_file)
 from .errors import ContractViolation, NumericFailure
 from .report import BenchReport, impedance_artifacts, svg_placement_heatmap
 from .search import (GaConfig, build_expert_dataset, ga_solve, random_search,
@@ -168,16 +168,13 @@ def greedy_sim_placement(problem: Problem, k_max: int,
                          evaluator: Evaluator) -> list:
     """One-step-lookahead placement: at each step add the feasible port that
     maximizes J. Returns the incremental placement (length k_max)."""
-    state = State(problem)
     chosen = []
     for _ in range(k_max):
-        feas = sorted(feasible_actions(state))
+        feas = [a for a in problem.allowed_ports if a not in chosen]
         if not feas:
             break
         scores = [evaluator.evaluate(problem, chosen + [a]) for a in feas]
-        best = feas[int(np.argmax(scores))]
-        chosen.append(best)
-        state = State(problem, tuple(chosen))
+        chosen.append(feas[int(np.argmax(scores))])
     return chosen
 
 
@@ -190,8 +187,8 @@ def min_k_for_target(problem: Problem, target: float, k_max: int,
     if target <= 0.0:
         return {"min_k": 0, "achieved": 0.0, "placement": [], "met": True}
     if policy is not None:
-        placement, _ = policy.greedy_placement(problem, min(
-            k_max, len(feasible_actions(State(problem)))))
+        placement, _ = policy.greedy_placement(
+            problem, min(k_max, len(problem.allowed_ports)))
         placement = list(placement)
     else:
         placement = greedy_sim_placement(problem, k_max, evaluator)

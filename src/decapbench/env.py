@@ -1,4 +1,4 @@
-"""Contextual-MDP wrapper: problems, features, masking, rollout, scoring.
+"""Contextual-MDP wrapper: problems, feasibility, features, scoring.
 
 Port condition codes: 0 = decap allowed, 1 = keep-out, 2 = probing port.
 """
@@ -22,25 +22,26 @@ PROBLEM_SCHEMA_VERSION = 1
 
 _INDEX_SCHEMA = {"type": "integer", "minimum": 0}
 
+# One problem as Problem.to_dict writes it; problem files, expert datasets
+# and reports all embed this.
+PROBLEM_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "rows": {"type": "integer", "minimum": 1},
+        "cols": {"type": "integer", "minimum": 1},
+        "probe": _INDEX_SCHEMA,
+        "keepout": {"type": "array", "items": _INDEX_SCHEMA},
+    },
+    "required": ["rows", "cols", "probe", "keepout"],
+    "additionalProperties": False,
+}
+
 PROBLEM_FILE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
         "schema_version": {"const": PROBLEM_SCHEMA_VERSION},
-        "problems": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "rows": {"type": "integer", "minimum": 1},
-                    "cols": {"type": "integer", "minimum": 1},
-                    "probe": _INDEX_SCHEMA,
-                    "keepout": {"type": "array", "items": _INDEX_SCHEMA},
-                },
-                "required": ["rows", "cols", "probe", "keepout"],
-                "additionalProperties": False,
-            },
-        },
+        "problems": {"type": "array", "items": PROBLEM_SCHEMA},
     },
     "required": ["schema_version", "problems"],
     "additionalProperties": False,
@@ -69,6 +70,8 @@ class Problem:
 
     @property
     def allowed_ports(self) -> tuple:
+        """The ports a decap may use, ascending: neither the probe nor a
+        keep-out. The one feasibility rule every search and policy reads."""
         blocked = self.keepout | {self.probe}
         return tuple(p for p in range(self.n_ports) if p not in blocked)
 
@@ -87,19 +90,6 @@ class Problem:
 
 
 Placement = tuple  # ordered distinct feasible port indices
-
-
-@dataclass(frozen=True)
-class State:
-    problem: Problem
-    chosen: tuple = ()
-
-    def __post_init__(self):
-        blocked = self.problem.keepout | {self.problem.probe}
-        if len(set(self.chosen)) != len(self.chosen):
-            raise ContractViolation("duplicate action in state")
-        if any(a in blocked for a in self.chosen):
-            raise ContractViolation("chosen action on probe or keep-out port")
 
 
 def gen_problem(rng, n_rows: int, n_cols: int, keepout_max: int) -> Problem:
@@ -154,17 +144,6 @@ def gen_problem_set(seed, count: int, n_rows: int, n_cols: int,
         seen.add(h)
         out.append(p)
     return out
-
-
-def feasible_actions(state: State) -> set:
-    blocked = state.problem.keepout | {state.problem.probe} | set(state.chosen)
-    return {p for p in range(state.problem.n_ports) if p not in blocked}
-
-
-def step(state: State, action: int) -> State:
-    if action not in feasible_actions(state):
-        raise ContractViolation(f"infeasible action {action}")
-    return State(state.problem, state.chosen + (action,))
 
 
 def validate_placement(problem: Problem, placement) -> tuple:

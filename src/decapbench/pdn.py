@@ -10,14 +10,13 @@ nodes are merged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ContractViolation, NumericFailure, check_schema
+from .errors import ContractViolation, NumericFailure
 
 TWO_PI = 2.0 * np.pi
 
@@ -139,14 +138,13 @@ def default_freq_grid() -> FreqGrid:
     return make_freq_grid(201, 2.0e8, 2.0e10)
 
 
-def decap_impedance(d: DecapModel, f_hz) -> complex:
-    """Series-RLC impedance r + jwL + 1/(jwC)."""
+def decap_impedance(d: DecapModel, f_hz) -> np.ndarray:
+    """Series-RLC impedance r + jwL + 1/(jwC), shaped like f_hz."""
     f = np.asarray(f_hz, dtype=np.float64)
     if np.any(f <= 0):
         raise ContractViolation("frequency must be positive")
     w = TWO_PI * f
-    z = d.r_ohm + 1j * (w * d.l_henry - 1.0 / (w * d.c_farad))
-    return complex(z) if np.isscalar(f_hz) else z
+    return d.r_ohm + 1j * (w * d.l_henry - 1.0 / (w * d.c_farad))
 
 
 def _cell_centers(grid: GridSpec, offset_x: float, offset_y: float):
@@ -379,118 +377,12 @@ def objective(z_init: np.ndarray, z_final: np.ndarray, grid: FreqGrid) -> float:
     return float(np.sum((z_init - z_final) * (1e9 / grid.points)))
 
 
-def write_profile_csv(path, grid: FreqGrid, profile: np.ndarray) -> None:
-    profile = np.asarray(profile, dtype=np.float64)
-    if profile.shape != (len(grid),):
-        raise ContractViolation("profile length must match the frequency grid")
-    with open(path, "w", newline="") as fh:
-        fh.write("frequency_hz,z_ohm\n")
-        for f, z in zip(grid.points, profile):
-            fh.write(f"{f!r},{z!r}\n")
-
-
-# --- simulator configuration file -----------------------------------------
-
-_CELL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "rows": {"type": "integer", "minimum": 1},
-        "cols": {"type": "integer", "minimum": 1},
-        "R": {"type": "number", "minimum": 0},
-        "L": {"type": "number", "minimum": 0},
-        "G": {"type": "number", "minimum": 0},
-        "C": {"type": "number", "minimum": 0},
-        "W": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["rows", "cols", "R", "L", "G", "C", "W"],
-    "additionalProperties": False,
-}
-
-SIM_CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "chip": _CELL_SCHEMA,
-        "package": _CELL_SCHEMA,
-        "via_l": {"type": "number", "minimum": 0},
-        "decap": {
-            "type": "object",
-            "properties": {
-                "r": {"type": "number", "minimum": 0},
-                "l": {"type": "number", "minimum": 0},
-                "c": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["r", "l", "c"],
-            "additionalProperties": False,
-        },
-        "freq": {
-            "type": "object",
-            "properties": {
-                "n": {"type": "integer", "minimum": 2},
-                "fmin": {"type": "number", "exclusiveMinimum": 0},
-                "fmax": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["n", "fmin", "fmax"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["chip", "via_l", "decap", "freq"],
-    "additionalProperties": False,
-}
-
-
-def _grid_to_dict(g: GridSpec) -> dict:
-    return {"rows": g.n_rows, "cols": g.n_cols,
-            "R": g.cell.resistance_ohm, "L": g.cell.inductance_henry,
-            "G": g.cell.conductance_siemens, "C": g.cell.capacitance_farad,
-            "W": g.cell.width_meter}
-
-
-def _grid_from_dict(d: dict) -> GridSpec:
-    cell = UnitCellParams(d["R"], d["L"], d["G"], d["C"], d["W"])
-    return GridSpec(d["rows"], d["cols"], cell)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything the simulator needs: stack, decap model, frequency grid."""
     stack: StackSpec
     decap: DecapModel
     grid: FreqGrid
-
-    def to_dict(self) -> dict:
-        out = {"chip": _grid_to_dict(self.stack.chip),
-               "via_l": self.stack.via_inductance_henry,
-               "decap": {"r": self.decap.r_ohm, "l": self.decap.l_henry,
-                         "c": self.decap.c_farad},
-               "freq": {"n": len(self.grid),
-                        "fmin": float(self.grid.points[0]),
-                        "fmax": float(self.grid.points[-1])}}
-        if self.stack.package is not None:
-            out["package"] = _grid_to_dict(self.stack.package)
-        return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "SimConfig":
-        check_schema(d, SIM_CONFIG_SCHEMA, "simulator config")
-        stack = StackSpec(
-            chip=_grid_from_dict(d["chip"]),
-            package=_grid_from_dict(d["package"]) if "package" in d else None,
-            via_inductance_henry=d["via_l"],
-        )
-        decap = DecapModel(d["decap"]["r"], d["decap"]["l"], d["decap"]["c"])
-        grid = make_freq_grid(d["freq"]["n"], d["freq"]["fmin"], d["freq"]["fmax"])
-        return SimConfig(stack, decap, grid)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "SimConfig":
-        with open(path) as fh:
-            return SimConfig.from_dict(json.load(fh))
 
 
 def paper_scale_config() -> SimConfig:

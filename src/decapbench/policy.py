@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .env import Problem, State, encode_features, feasible_actions
+from .env import Problem, encode_features
 from .errors import ContractViolation
 
 
@@ -308,14 +308,6 @@ def sequence_log_prob(problems, placements, store: ad.ParamStore,
     return ad.tensor_sum(ad.reshape(picked, (bsz, k)), axis=1)
 
 
-def log_prob(problem: Problem, placement, store: ad.ParamStore,
-             cfg: ModelConfig) -> float:
-    """Exact sequence log-probability under the policy (inference mode)."""
-    with ad.no_grad():
-        return float(sequence_log_prob([problem], [placement], store, cfg,
-                                       training=False).data[0])
-
-
 def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
                   mode: str, k: int, rng=None):
     """Autoregressive decode for a batch; returns [(placement, logp), ...].
@@ -328,7 +320,7 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
     if mode == "sample" and rng is None:
         raise ContractViolation("sampling requires an rng")
     for p in problems:
-        if len(feasible_actions(State(p))) < k:
+        if len(p.allowed_ports) < k:
             raise ContractViolation("fewer feasible ports than K")
     bsz = len(problems)
     rows = np.arange(bsz)
@@ -358,14 +350,9 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
             for c, lp in zip(chosen, logps)]
 
 
-def rollout(problem: Problem, store: ad.ParamStore, cfg: ModelConfig,
-            mode: str, k: int, seed: int | None = None):
-    rng = None if seed is None else np.random.Generator(np.random.PCG64(seed))
-    return rollout_batch([problem], store, cfg, mode, k, rng)[0]
-
-
 class DevFormerPolicy:
-    """Inference wrapper: sampling and exact sequence probabilities."""
+    """The single-problem inference adapter: sampling, greedy decoding and
+    exact sequence probabilities, none of which records a tape."""
 
     def __init__(self, store: ad.ParamStore, cfg: ModelConfig):
         self.store = store
@@ -378,7 +365,9 @@ class DevFormerPolicy:
         return rollout_batch([problem], self.store, self.cfg, "greedy", k)[0]
 
     def placement_log_prob(self, problem: Problem, placement) -> float:
-        return log_prob(problem, placement, self.store, self.cfg)
+        with ad.no_grad():
+            return float(sequence_log_prob([problem], [placement], self.store,
+                                           self.cfg).data[0])
 
 
 def save_policy(path, store: ad.ParamStore, cfg: ModelConfig, meta=None):

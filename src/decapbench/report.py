@@ -14,10 +14,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pdn
-from .env import Evaluator, Problem
-from .errors import ContractViolation
+from .env import PROBLEM_SCHEMA, Evaluator, Problem
+from .errors import ContractViolation, check_schema
 
 REPORT_SCHEMA_VERSION = 1
+
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "schema_version": {"const": REPORT_SCHEMA_VERSION},
+        "problems": {"type": "array", "items": PROBLEM_SCHEMA},
+        "rows": {"type": "array", "items": {
+            "type": "object",
+            "properties": {
+                "method": {"type": "string"},
+                "budget": {"type": "integer"},
+                "k": {"type": "integer"},
+                "mean_score": {"type": "number"},
+                "std_score": {"type": "number"},
+                "placements": {"type": "array", "items": {
+                    "type": "array", "items": {"type": "integer"}}},
+                "scores": {"type": "array", "items": {"type": "number"}},
+            },
+            "required": ["method", "budget", "k", "mean_score", "std_score",
+                         "placements", "scores"],
+        }},
+        "metadata": {"type": "object"},
+    },
+    "required": ["schema_version", "problems", "rows"],
+}
 
 REPORT_CSV_COLUMNS = ("method", "budget", "k", "mean_score", "std_score",
                       "n_problems")
@@ -70,8 +96,12 @@ class BenchReport:
 
     @staticmethod
     def from_dict(d: dict) -> "BenchReport":
-        if d.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise ContractViolation("unsupported report schema version")
+        check_schema(d, REPORT_SCHEMA, "report")
+        n = len(d["problems"])
+        if any(len(r["placements"]) != n or len(r["scores"]) != n
+               for r in d["rows"]):
+            raise ContractViolation(
+                "bad report: one placement and score per problem")
         return BenchReport([Problem.from_dict(p) for p in d["problems"]],
                            [MethodRow.from_dict(r) for r in d["rows"]],
                            d.get("metadata", {}))

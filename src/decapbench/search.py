@@ -8,10 +8,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Evaluator, Problem, State, feasible_actions, validate_placement
-from .errors import ContractViolation
+from .env import PROBLEM_SCHEMA, Evaluator, Problem, validate_placement
+from .errors import ContractViolation, check_schema
 
 DATASET_SCHEMA_VERSION = 1
+
+# The JSONL lines of an expert dataset: a header, then one record per line.
+DATASET_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "array",
+    "minItems": 1,
+    "prefixItems": [{
+        "type": "object",
+        "properties": {"schema_version": {"const": DATASET_SCHEMA_VERSION}},
+        "required": ["schema_version"],
+    }],
+    "items": {
+        "type": "object",
+        "properties": {
+            "problem": PROBLEM_SCHEMA,
+            "placement": {"type": "array", "items": {"type": "integer"}},
+            "score": {"type": "number"},
+            "budget": {"type": "integer"},
+            "seed": {"type": "integer"},
+        },
+        "required": ["problem", "placement", "score", "budget", "seed"],
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -61,7 +84,7 @@ class ExpertRecord:
 
 
 def _random_placement(problem: Problem, k: int, rng) -> tuple:
-    feasible = sorted(feasible_actions(State(problem)))
+    feasible = problem.allowed_ports
     if len(feasible) < k:
         raise ContractViolation("fewer feasible ports than K")
     pick = rng.choice(np.array(feasible), size=k, replace=False)
@@ -91,7 +114,7 @@ def exhaustive_best(problem: Problem, k: int, evaluator: Evaluator
     first subset.
     """
     import itertools
-    feasible = sorted(feasible_actions(State(problem)))
+    feasible = problem.allowed_ports
     if len(feasible) < k:
         raise ContractViolation("fewer feasible ports than K")
     best, best_score = None, -np.inf
@@ -121,9 +144,10 @@ def crossover(parent_a, parent_b, rng) -> list:
 def mutate_dedup(genes, problem: Problem, rng) -> tuple:
     """Replace duplicate or infeasible genes with fresh feasible draws."""
     k = len(genes)
-    feasible = feasible_actions(State(problem))
-    if len(feasible) < k:
+    allowed = problem.allowed_ports
+    if len(allowed) < k:
         raise ContractViolation("fewer feasible ports than K")
+    feasible = set(allowed)
     out = []
     used = set()
     for g in genes:
@@ -131,7 +155,7 @@ def mutate_dedup(genes, problem: Problem, rng) -> tuple:
         if g in feasible and g not in used:
             out.append(g)
         else:
-            remaining = sorted(feasible - used)
+            remaining = [a for a in allowed if a not in used]
             g = int(rng.choice(np.array(remaining)))
             out.append(g)
         used.add(g)
@@ -196,12 +220,10 @@ def read_expert_dataset(path) -> tuple:
     """Returns (records, header metadata)."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise ContractViolation("empty dataset file")
-    header = json.loads(lines[0])
-    if header.get("schema_version") != DATASET_SCHEMA_VERSION:
-        raise ContractViolation("unsupported dataset schema version")
-    records = [ExpertRecord.from_dict(json.loads(ln)) for ln in lines[1:]]
+    docs = [json.loads(ln) for ln in lines]
+    check_schema(docs, DATASET_SCHEMA, "expert dataset")
+    header = docs[0]
+    records = [ExpertRecord.from_dict(d) for d in docs[1:]]
     for rec in records:
         validate_placement(rec.problem, rec.placement)
     return records, header

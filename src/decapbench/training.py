@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import policy as pol
-from .env import (Evaluator, Problem, State, feasible_actions, gen_problem,
-                  gen_problem_set, problem_space_size)
+from .env import (Evaluator, Problem, gen_problem, gen_problem_set,
+                  problem_space_size)
 from .errors import ContractViolation, NumericFailure
 from .search import ExpertRecord
 
@@ -193,19 +193,17 @@ class SequentialUniformPolicy:
     """Uniform over feasible ports at every step; exactly order-unbiased."""
 
     def sample_placement(self, problem: Problem, k: int, rng):
-        state = State(problem)
         lp = 0.0
         chosen = []
         for _ in range(k):
-            feas = sorted(feasible_actions(state))
+            feas = [a for a in problem.allowed_ports if a not in chosen]
             a = int(feas[int(rng.integers(len(feas)))])
             lp += math.log(1.0 / len(feas))
             chosen.append(a)
-            state = State(problem, state.chosen + (a,))
         return tuple(chosen), lp
 
     def placement_log_prob(self, problem: Problem, placement) -> float:
-        m = len(feasible_actions(State(problem)))
+        m = len(problem.allowed_ports)
         if len(set(placement)) != len(placement):
             raise ContractViolation("placement must be distinct")
         return float(sum(math.log(1.0 / (m - t)) for t in range(len(placement))))
@@ -229,7 +227,7 @@ def theorem_check(policy, problem: Problem, k: int,
     probability to every reordering of every trajectory. Weight
     distributions must be strictly positive.
     """
-    feas = sorted(feasible_actions(State(problem)))
+    feas = problem.allowed_ports
     if len(feas) > 6 or k > 3:
         raise ContractViolation("board too large for exhaustive check")
     trajectories = list(itertools.permutations(feas, k))

@@ -17,8 +17,7 @@ from decapbench import pdn
 from decapbench import policy as pol
 from decapbench import training as tr
 from decapbench.cli import main as cli_main, min_k_for_target
-from decapbench.env import (Evaluator, State, feasible_actions,
-                            gen_problem_set)
+from decapbench.env import Evaluator, gen_problem_set
 from decapbench.search import (ExpertRecord, GaConfig, exhaustive_best,
                                ga_solve, random_search)
 
@@ -93,7 +92,7 @@ def test_02_objective_permutation_bit_identical():
     rng = np.random.Generator(np.random.PCG64(202))
     for i in range(100):
         p = probs[i % len(probs)]
-        feas = sorted(feasible_actions(State(p)))
+        feas = p.allowed_ports
         k = int(rng.integers(2, 21))
         a = [int(x) for x in rng.choice(feas, size=k, replace=False)]
         t = list(rng.permutation(k))
@@ -106,7 +105,7 @@ def test_02_objective_permutation_bit_identical():
 def test_03_small_instance_optimality():
     ev = Evaluator(pdn.chip_only_config(3, 3, SHORT_GRID))
     for p in gen_problem_set(303, 10, 3, 3, 3):
-        feas = sorted(feasible_actions(State(p)))
+        feas = p.allowed_ports
         for k in (1, 2):
             if len(feas) < k:
                 continue
@@ -228,7 +227,7 @@ def test_07_order_bias_estimator_correctness():
         probs = gen_problem_set(700 + seed, 4, board[0], board[1], 2)
         assert tr.order_bias_estimate(uniform, probs, s, seed, k=2).value == 0.0
         rep = tr.theorem_check(uniform, probs[0], k=2) \
-            if len(feasible_actions(State(probs[0]))) <= 6 else None
+            if len(probs[0].allowed_ports) <= 6 else None
         if rep is not None:
             assert rep.order_bias == 0.0 and rep.is_symmetric and rep.consistent
 
@@ -351,7 +350,7 @@ def test_11_min_k_matches_exhaustive():
     probs = gen_problem_set(7, 20, 3, 3, 3)
     rng = np.random.Generator(np.random.PCG64(11))
     for p in probs:
-        feas = sorted(feasible_actions(State(p)))
+        feas = p.allowed_ports
         k_max = min(3, len(feas))
         best = max(ev.evaluate(p, c)
                    for c in itertools.combinations(feas, k_max))

@@ -8,8 +8,7 @@ import pytest
 from decapbench import pdn
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK,
                             greedy_sim_placement, main, min_k_for_target)
-from decapbench.env import (Evaluator, State, feasible_actions,
-                            read_problem_file)
+from decapbench.env import read_problem_file
 
 
 def run(*argv):
@@ -131,7 +130,7 @@ def test_min_k_matches_exhaustive_oracle(eval3):
     probs = gen_problem_set(7, 8, 3, 3, 3)
     rng = np.random.Generator(np.random.PCG64(11))
     for p in probs:
-        feas = sorted(feasible_actions(State(p)))
+        feas = p.allowed_ports
         kmax = min(3, len(feas))
         best = max(eval3.evaluate(p, c)
                    for c in itertools.combinations(feas, kmax))
@@ -172,6 +171,33 @@ def test_exit_code_malformed_problem_file(tmp_path, checkpoint, command):
             "eval": ("--checkpoint", checkpoint, "--k", 2,
                      "--out", tmp_path / "e.json")}[command]
     assert run(command, "--problems", bad, *args) == EXIT_CONTRACT
+
+
+@pytest.mark.parametrize("lines", [
+    ['{"schema_version": 1}', '{"problem": {"rows": 3}}'],
+    ['{"problem": {"rows": 3}}']])
+def test_exit_code_malformed_dataset(workdir, tmp_path, lines):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code = run("train", "--dataset", bad,
+               "--val-problems", workdir / "val_problems.json",
+               "--steps", 1, "--out", tmp_path / "m.ckpt")
+    assert code == EXIT_CONTRACT
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema_version": 1, "problems": [{"rows": 3}], "rows": []},
+    # a row shorter than the problem list
+    {"schema_version": 1,
+     "problems": [{"rows": 3, "cols": 3, "probe": 0, "keepout": []}],
+     "rows": [{"method": "m", "budget": 1, "k": 1, "mean_score": 0.0,
+               "std_score": 0.0, "placements": [], "scores": []}]}])
+def test_exit_code_malformed_report(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = run("report", "--report", bad, "--verify",
+               "--out", tmp_path / "plots")
+    assert code == EXIT_CONTRACT
 
 
 def test_exit_code_bad_json(tmp_path):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapbench import env
-from decapbench.env import (Evaluator, Problem, State, encode_features,
-                            feasible_actions, gen_problem, gen_problem_set,
-                            step, validate_placement)
+from decapbench.env import (Evaluator, Problem, encode_features, gen_problem,
+                            gen_problem_set, validate_placement)
 from decapbench.errors import ContractViolation
 
 
@@ -41,17 +40,11 @@ def test_gen_problem_set_distinct_and_disjoint():
 
 
 def test_feasible_and_step():
+    # allowed_ports is the one feasibility rule: ascending, without the
+    # probe or a keep-out (test_validate_placement_round_trip checks that
+    # duplicate, probe and keep-out steps are rejected).
     p = Problem(3, 3, 4, frozenset({0}))
-    s = State(p)
-    assert feasible_actions(s) == {1, 2, 3, 5, 6, 7, 8}
-    s = step(s, 3)
-    assert 3 not in feasible_actions(s)
-    with pytest.raises(ContractViolation):
-        step(s, 3)   # already chosen
-    with pytest.raises(ContractViolation):
-        step(s, 4)   # probe
-    with pytest.raises(ContractViolation):
-        step(s, 0)   # keep-out
+    assert p.allowed_ports == (1, 2, 3, 5, 6, 7, 8)
 
 
 def test_validate_placement_round_trip():

@@ -407,21 +407,6 @@ def test_objective_weighting():
     assert j == pytest.approx(2.0 * 1.0 + 1.0 * 0.5, rel=1e-15)
 
 
-def test_config_round_trip(tmp_path):
-    cfg = pdn.paper_scale_config()
-    path = tmp_path / "sim.json"
-    cfg.save(path)
-    again = pdn.SimConfig.load(path)
-    assert again.to_dict() == cfg.to_dict()
-
-
-def test_config_rejects_bad_schema(tmp_path):
-    path = tmp_path / "sim.json"
-    path.write_text('{"chip": {}, "via_l": 0}')
-    with pytest.raises(ContractViolation):
-        pdn.SimConfig.load(path)
-
-
 def test_contract_errors():
     with pytest.raises(ContractViolation):
         pdn.GridSpec(0, 3, pdn.CHIP_CELL)

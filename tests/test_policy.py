@@ -43,13 +43,13 @@ def test_encode_shapes_and_board_mismatch():
 
 
 def test_rollout_log_prob_matches_sequence_log_prob():
-    store = pol.init_params(CFG)
+    policy = pol.DevFormerPolicy(pol.init_params(CFG), CFG)
     p = gen_problem_set(1, 1, 4, 4, 3)[0]
-    placement, lp = pol.rollout(p, store, CFG, "sample", k=3, seed=7)
-    assert lp == pytest.approx(pol.log_prob(p, placement, store, CFG),
+    placement, lp = policy.sample_placement(p, 3, make_rng(7))
+    assert lp == pytest.approx(policy.placement_log_prob(p, placement),
                                abs=1e-12)
-    g_placement, g_lp = pol.rollout(p, store, CFG, "greedy", k=3)
-    assert g_lp == pytest.approx(pol.log_prob(p, g_placement, store, CFG),
+    g_placement, g_lp = policy.greedy_placement(p, 3)
+    assert g_lp == pytest.approx(policy.placement_log_prob(p, g_placement),
                                  abs=1e-12)
 
 
@@ -105,9 +105,10 @@ def test_one_pass_sequence_log_prob_matches_step_by_step(overrides, k):
 
 
 def test_inference_records_no_tape(monkeypatch):
-    # The live store requires grad; rollouts and log_prob return floats, so
-    # they must not record a tape for it.
+    # The live store requires grad; rollouts and placement_log_prob return
+    # floats, so they must not record a tape for it.
     store = pol.init_params(CFG)
+    policy = pol.DevFormerPolicy(store, CFG)
     p = gen_problem_set(1, 1, 4, 4, 3)[0]
     encodings = []
     real_encode = pol.encode
@@ -117,18 +118,18 @@ def test_inference_records_no_tape(monkeypatch):
         return encodings[-1]
 
     monkeypatch.setattr(pol, "encode", spy)
-    placement, _ = pol.rollout(p, store, CFG, "greedy", k=2)
-    pol.log_prob(p, placement, store, CFG)
+    placement, _ = policy.greedy_placement(p, 2)
+    policy.placement_log_prob(p, placement)
     assert len(encodings) == 2
     assert not any(h.requires_grad for h in encodings)
     assert pol.sequence_log_prob([p], [placement], store, CFG).requires_grad
 
 
 def test_greedy_rollout_deterministic():
-    store = pol.init_params(CFG)
+    policy = pol.DevFormerPolicy(pol.init_params(CFG), CFG)
     p = gen_problem_set(2, 1, 4, 4, 3)[0]
-    a = pol.rollout(p, store, CFG, "greedy", k=4)
-    b = pol.rollout(p, store, CFG, "greedy", k=4)
+    a = policy.greedy_placement(p, 4)
+    b = policy.greedy_placement(p, 4)
     assert a == b
 
 
@@ -154,23 +155,23 @@ def test_sequence_log_prob_rejects_infeasible():
 def test_fresh_policy_has_order_bias():
     # A freshly initialized network is not order-symmetric: reorderings of
     # the same port set generally get different sequence probabilities.
-    store = pol.init_params(pol.toy_config(init_seed=11))
     cfg = pol.toy_config(init_seed=11)
+    policy = pol.DevFormerPolicy(pol.init_params(cfg), cfg)
     p = gen_problem_set(4, 1, 4, 4, 3)[0]
-    placement, _ = pol.rollout(p, store, cfg, "sample", k=3, seed=5)
+    placement, _ = policy.sample_placement(p, 3, make_rng(5))
     reordered = (placement[1], placement[2], placement[0])
-    lp1 = pol.log_prob(p, placement, store, cfg)
-    lp2 = pol.log_prob(p, reordered, store, cfg)
+    lp1 = policy.placement_log_prob(p, placement)
+    lp2 = policy.placement_log_prob(p, reordered)
     assert not math.isclose(lp1, lp2, rel_tol=1e-9)
 
 
 def test_zero_shot_board_and_k_transfer():
     # One checkpoint, three board sizes and placement lengths: pointer-style
     # decoding has no board-size-dependent parameters.
-    store = pol.init_params(CFG)
+    policy = pol.DevFormerPolicy(pol.init_params(CFG), CFG)
     for rows, cols, k in ((4, 4, 3), (6, 6, 8), (3, 7, 5)):
         p = gen_problem_set(rows * 100 + cols, 1, rows, cols, 2)[0]
-        placement, lp = pol.rollout(p, store, CFG, "greedy", k=k)
+        placement, lp = policy.greedy_placement(p, k)
         assert len(placement) == k and lp < 0
 
 
@@ -180,9 +181,9 @@ def test_ablated_variants_run():
                {"residual": False}, {"ppe_mode": "delta-and-norm"}):
         cfg = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32,
                              **kw)
-        store = pol.init_params(cfg)
+        policy = pol.DevFormerPolicy(pol.init_params(cfg), cfg)
         p = gen_problem_set(5, 1, 3, 3, 2)[0]
-        placement, lp = pol.rollout(p, store, cfg, "greedy", k=2)
+        placement, lp = policy.greedy_placement(p, 2)
         assert len(placement) == 2 and np.isfinite(lp)
 
 
@@ -194,4 +195,4 @@ def test_policy_save_load_round_trip(tmp_path):
     assert meta["tag"] == "test"
     p = gen_problem_set(6, 1, 4, 4, 3)[0]
     assert policy.greedy_placement(p, 3) == \
-        pol.rollout(p, store, CFG, "greedy", 3)
+        pol.rollout_batch([p], store, CFG, "greedy", 3)[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decapbench.env import Problem, State, feasible_actions, gen_problem_set
+from decapbench.env import Problem, gen_problem_set
 from decapbench.errors import ContractViolation
 from decapbench.search import (ExpertRecord, GaConfig, build_expert_dataset,
                                crossover, exhaustive_best, ga_preset_m100,
@@ -38,8 +38,7 @@ def test_mutate_dedup_repairs(seed):
     genes = [1, 1, 4, 0]   # duplicate, probe, keep-out
     out = mutate_dedup(genes, p, rng)
     assert len(set(out)) == 4
-    feas = feasible_actions(State(p))
-    assert all(g in feas for g in out)
+    assert all(g in p.allowed_ports for g in out)
     assert out[0] == 1      # valid genes are kept in place
 
 
@@ -81,7 +80,7 @@ def test_ga_best_monotone_per_generation(eval3):
 def test_exhaustive_best_is_global_optimum(eval3):
     p = Problem(3, 3, 4, frozenset({0}))
     rec = exhaustive_best(p, 2, eval3)
-    feas = sorted(feasible_actions(State(p)))
+    feas = p.allowed_ports
     brute = max(eval3.evaluate(p, c)
                 for c in itertools.combinations(feas, 2))
     assert rec.score == brute
