@@ -126,11 +126,15 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add g into t.grad. The first gradient is stored as a copy: backward
+    closures may hand one array to several operands (add gives both the
+    same g), so owning g itself could alias two .grad arrays."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -185,11 +189,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
-    data = np.where(keep, a.data, 0.0)
+    """max(x, 0); a NaN input stays NaN, so the non-finite loss guard sees
+    it."""
+    data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        _accum(a, g * keep)
+        _accum(a, g * (a.data > 0))
 
     return _make(data, (a,), backward)
 
@@ -300,17 +305,39 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    if x.shape[-1] != w.shape[0]:
+    """x (..., din) @ w (din, dout) + b (dout,) as one node.
+
+    The leading axes are flattened so the forward pass and both gradients
+    are single 2-D GEMMs: the weight gradient sums over all rows in one
+    product instead of a batched product reduced over the batch.
+    """
+    din, dout = w.shape
+    if x.shape[-1] != din:
         raise ContractViolation("linear: shape mismatch")
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
+    x2 = x.data.reshape(-1, din)
+    y2 = x2 @ w.data
+    if b is not None:
+        y2 += b.data
+    parents = (x, w) if b is None else (x, w, b)
+
+    def backward(g):
+        g2 = g.reshape(-1, dout)
+        if x.requires_grad:
+            _accum(x, (g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accum(w, x2.T @ g2)
+        if b is not None and b.requires_grad:
+            _accum(b, g2.sum(axis=0))
+
+    return _make(y2.reshape(x.shape[:-1] + (dout,)), parents, backward)
 
 
 def softmax(logits: Tensor) -> Tensor:
     """Softmax over the last axis."""
     x = logits.data
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * p).sum(axis=-1, keepdims=True)

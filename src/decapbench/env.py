@@ -5,6 +5,7 @@ Port condition codes: 0 = decap allowed, 1 = keep-out, 2 = probing port.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -162,19 +163,28 @@ def validate_placement(problem: Problem, placement) -> tuple:
     return chosen
 
 
+@functools.lru_cache(maxsize=64)
+def board_xy(n_rows: int, n_cols: int) -> np.ndarray:
+    """(n_ports, 2) normalized (x, y) of every port, row-major. Read-only:
+    one cached array per board size serves every caller."""
+    idx = np.arange(n_rows * n_cols)
+    r, c = idx // n_cols, idx % n_cols
+    xy = np.zeros((n_rows * n_cols, 2))
+    xy[:, 0] = c / (n_cols - 1) if n_cols > 1 else 0.0
+    xy[:, 1] = r / (n_rows - 1) if n_rows > 1 else 0.0
+    xy.flags.writeable = False
+    return xy
+
+
 def encode_features(problem: Problem) -> np.ndarray:
     """(n_ports, 5) array: x_norm, y_norm, condition one-hot(3)."""
     n = problem.n_ports
     feats = np.zeros((n, 5))
-    rows, cols = problem.n_rows, problem.n_cols
-    idx = np.arange(n)
-    r, c = idx // cols, idx % cols
-    feats[:, 0] = c / (cols - 1) if cols > 1 else 0.0
-    feats[:, 1] = r / (rows - 1) if rows > 1 else 0.0
+    feats[:, :2] = board_xy(problem.n_rows, problem.n_cols)
     cond = np.full(n, ALLOWED)
     cond[list(problem.keepout)] = KEEPOUT
     cond[problem.probe] = PROBE
-    feats[idx, 2 + cond] = 1.0
+    feats[np.arange(n), 2 + cond] = 1.0
     return feats
 
 

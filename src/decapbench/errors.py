@@ -15,10 +15,21 @@ class NumericFailure(RuntimeError):
         self.frequency_index = frequency_index
 
 
+# id(schema) -> (schema, validator). The schemas are module constants; the
+# entry holds the schema too, so its id cannot be reused while cached.
+_VALIDATORS: dict = {}
+
+
 def check_schema(doc, schema: dict, what: str) -> None:
-    """Raise ContractViolation unless doc matches the JSON schema."""
+    """Raise ContractViolation unless doc matches the JSON schema (draft
+    2020-12). The schema itself is checked and compiled once per process;
+    the message is that of jsonschema.validate."""
     import jsonschema
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise ContractViolation(f"bad {what}: {exc.message}") from exc
+    entry = _VALIDATORS.get(id(schema))
+    if entry is None:
+        jsonschema.Draft202012Validator.check_schema(schema)
+        entry = (schema, jsonschema.Draft202012Validator(schema))
+        _VALIDATORS[id(schema)] = entry
+    error = jsonschema.exceptions.best_match(entry[1].iter_errors(doc))
+    if error is not None:
+        raise ContractViolation(f"bad {what}: {error.message}") from error

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .env import Problem, encode_features
+from .env import Problem, board_xy, encode_features
 from .errors import ContractViolation
 
 
@@ -61,8 +61,7 @@ def toy_config(**overrides) -> ModelConfig:
 
 def ppe_features(problem: Problem, mode: str = "norm") -> np.ndarray:
     """Per-port position relative to the probe, in normalized coordinates."""
-    feats = encode_features(problem)
-    xy = feats[:, :2]
+    xy = board_xy(problem.n_rows, problem.n_cols)
     delta = xy - xy[problem.probe]
     norm = np.sqrt((delta ** 2).sum(axis=1, keepdims=True))
     if mode == "norm":
@@ -365,9 +364,15 @@ class DevFormerPolicy:
         return rollout_batch([problem], self.store, self.cfg, "greedy", k)[0]
 
     def placement_log_prob(self, problem: Problem, placement) -> float:
+        return float(self.placement_log_probs([problem], [placement])[0])
+
+    def placement_log_probs(self, problems, placements) -> np.ndarray:
+        """Log-probabilities of many placements in one batched pass:
+        problems share one board, placements one length. Eval-mode batch
+        norm keeps the rows independent."""
         with ad.no_grad():
-            return float(sequence_log_prob([problem], [placement], self.store,
-                                           self.cfg).data[0])
+            return sequence_log_prob(problems, placements, self.store,
+                                     self.cfg).data
 
 
 def save_policy(path, store: ad.ParamStore, cfg: ModelConfig, meta=None):

@@ -175,17 +175,24 @@ class OrderBiasEstimate:
 def order_bias_estimate(policy, problems, s: int, seed: int,
                         k: int) -> OrderBiasEstimate:
     """Monte Carlo order bias: mean |pi(a|x) - pi(t(a)|x)| over s draws of
-    (problem uniform, a ~ pi, t uniform). One triple per draw."""
+    (problem uniform, a ~ pi, t uniform). One triple per draw.
+
+    The draws are made one at a time, in one rng order; the s reordered
+    placements are then scored by one policy.placement_log_probs call, so
+    the problems must share one board.
+    """
     if s < 1:
         raise ContractViolation("sample width must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    terms = []
+    drawn, lps, transformed = [], [], []
     for _ in range(s):
         prob = problems[int(rng.integers(len(problems)))]
         placement, lp = policy.sample_placement(prob, k, rng)
-        transformed = ap_transform(placement, rng)
-        lp2 = policy.placement_log_prob(prob, transformed)
-        terms.append(abs(math.exp(lp) - math.exp(lp2)))
+        drawn.append(prob)
+        lps.append(lp)
+        transformed.append(ap_transform(placement, rng))
+    lps2 = policy.placement_log_probs(drawn, transformed)
+    terms = [abs(math.exp(lp) - math.exp(lp2)) for lp, lp2 in zip(lps, lps2)]
     return OrderBiasEstimate(float(np.mean(terms)), s, seed)
 
 
@@ -207,6 +214,10 @@ class SequentialUniformPolicy:
         if len(set(placement)) != len(placement):
             raise ContractViolation("placement must be distinct")
         return float(sum(math.log(1.0 / (m - t)) for t in range(len(placement))))
+
+    def placement_log_probs(self, problems, placements) -> list:
+        return [self.placement_log_prob(p, pl)
+                for p, pl in zip(problems, placements)]
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,56 @@ def test_grad_check_matmul_reshape_transpose():
     assert ad.grad_check(fn, s) < 1e-6
 
 
+def test_grad_check_linear_3d_with_and_without_bias():
+    rng = make_rng(11)
+    s = store_with(x=rng.normal(size=(2, 3, 4)), w=rng.normal(size=(4, 5)),
+                   b=rng.normal(size=5))
+    weights = ad.Tensor(rng.normal(size=(2, 3, 5)))
+
+    def with_bias():
+        return ad.tensor_sum(ad.mul(ad.exp(ad.linear(s["x"], s["w"], s["b"])),
+                                    weights))
+
+    def without_bias():
+        return ad.tensor_sum(ad.mul(ad.exp(ad.linear(s["x"], s["w"])),
+                                    weights))
+
+    assert ad.grad_check(with_bias, s) < 1e-6
+    assert ad.grad_check(without_bias, s) < 1e-6
+
+
+def test_grad_check_linear_constant_input():
+    rng = make_rng(12)
+    x = ad.Tensor(rng.normal(size=(3, 2, 4)))
+    s = store_with(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
+
+    def fn():
+        return ad.mean(ad.mul(ad.linear(x, s["w"], s["b"]),
+                              ad.linear(x, s["w"], s["b"])))
+
+    assert ad.grad_check(fn, s) < 1e-6
+    s.zero_grad()
+    fn().backward()
+    assert x.grad is None
+
+
+def test_fused_linear_matches_matmul_plus_add():
+    rng = make_rng(13)
+    ref = store_with(x=rng.normal(size=(4, 7, 6)), w=rng.normal(size=(6, 5)),
+                     b=rng.normal(size=5))
+    fused = ref.copy(requires_grad=True)
+    upstream = ad.Tensor(rng.normal(size=(4, 7, 5)))
+
+    y_ref = ad.add(ad.matmul(ref["x"], ref["w"]), ref["b"])
+    y = ad.linear(fused["x"], fused["w"], fused["b"])
+    np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-12, atol=0)
+    ad.tensor_sum(ad.mul(y_ref, upstream)).backward()
+    ad.tensor_sum(ad.mul(y, upstream)).backward()
+    for name in ("x", "w", "b"):
+        np.testing.assert_allclose(fused[name].grad, ref[name].grad,
+                                   rtol=1e-12, atol=0)
+
+
 def test_grad_check_take_rows():
     rng = make_rng(3)
     s = store_with(h=rng.normal(size=(3, 5, 4)))
@@ -229,6 +279,34 @@ def test_unbroadcast_gradients():
     out.backward()
     assert np.array_equal(s["b"].grad, np.full(3, 4.0))
     assert ad.grad_check(fn, s) < 1e-8
+
+
+def test_shared_upstream_gradient_is_not_aliased():
+    # add hands one g to both operands; each .grad must own its array, so a
+    # later accumulation into one leaf leaves the other intact.
+    rng = make_rng(14)
+    c, w = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    for add_first in (True, False):
+        s = store_with(a=rng.normal(size=(2, 3)), b=rng.normal(size=(2, 3)))
+        shared = ad.tensor_sum(ad.mul(ad.add(s["a"], s["b"]), ad.Tensor(c)))
+        own = ad.tensor_sum(ad.mul(s["a"], ad.Tensor(w)))
+        loss = ad.add(shared, own) if add_first else ad.add(own, shared)
+        loss.backward()
+        np.testing.assert_array_equal(s["a"].grad, c + w)
+        np.testing.assert_array_equal(s["b"].grad, c)
+        assert not np.shares_memory(s["a"].grad, s["b"].grad)
+
+    s = store_with(a=rng.normal(size=(2, 3)))
+    ad.tensor_sum(ad.mul(ad.add(s["a"], s["a"]), ad.Tensor(c))).backward()
+    np.testing.assert_array_equal(s["a"].grad, 2 * c)
+
+
+def test_relu_propagates_nan():
+    s = store_with(a=np.array([np.nan, -1.0, 2.0]))
+    y = ad.relu(s["a"])
+    assert np.isnan(y.data[0]) and y.data[1] == 0.0 and y.data[2] == 2.0
+    ad.tensor_sum(y).backward()
+    np.testing.assert_array_equal(s["a"].grad, [0.0, 0.0, 1.0])
 
 
 # --- param store and checkpoints ---------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from decapbench import env
 from decapbench.env import (Evaluator, Problem, encode_features, gen_problem,
                             gen_problem_set, validate_placement)
-from decapbench.errors import ContractViolation
+from decapbench.errors import ContractViolation, check_schema
 
 
 def test_problem_contracts():
@@ -195,5 +195,30 @@ def test_problem_file_round_trip(tmp_path):
 def test_malformed_problem_file_is_a_contract_violation(tmp_path, doc):
     path = tmp_path / "problems.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation) as got:
         env.read_problem_file(path)
+    # A schema failure reads as jsonschema.validate's own message.
+    import jsonschema
+    try:
+        jsonschema.validate(doc, env.PROBLEM_FILE_SCHEMA)
+    except jsonschema.ValidationError as ref:
+        assert str(got.value) == f"bad problem file: {ref.message}"
+
+
+def test_check_schema_checks_each_schema_once(monkeypatch):
+    import jsonschema
+    calls = []
+    real = jsonschema.Draft202012Validator.check_schema
+
+    def counting(schema, *args, **kwargs):
+        calls.append(schema)
+        return real(schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                        counting)
+    schema = {"type": "array", "items": {"type": "integer"}}
+    for _ in range(3):
+        check_schema([1, 2], schema, "list")
+    with pytest.raises(ContractViolation, match="bad list: 'x' is not of "):
+        check_schema([1, "x"], schema, "list")
+    assert calls == [schema]

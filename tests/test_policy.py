@@ -5,7 +5,7 @@ import pytest
 
 from decapbench import autodiff as ad
 from decapbench import policy as pol
-from decapbench.env import Problem, gen_problem_set
+from decapbench.env import Problem, board_xy, encode_features, gen_problem_set
 from decapbench.errors import ContractViolation
 
 
@@ -31,6 +31,37 @@ def test_ppe_features_probe_row_is_zero():
     both = pol.ppe_features(p, "delta-and-norm")
     assert both.shape == (9, 3)
     assert np.allclose(np.hypot(both[:, 0], both[:, 1]), both[:, 2])
+
+
+def _uncached_xy(rows, cols):
+    """The coordinate formula encode_features applied per call before the
+    board geometry was cached."""
+    idx = np.arange(rows * cols)
+    r, c = idx // cols, idx % cols
+    x = c / (cols - 1) if cols > 1 else np.zeros(rows * cols)
+    y = r / (rows - 1) if rows > 1 else np.zeros(rows * cols)
+    return np.stack([x, y], axis=1)
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 4), (10, 10), (1, 5), (4, 1)])
+def test_board_geometry_cache_bit_identical_and_read_only(rows, cols):
+    p = gen_problem_set(rows * cols, 1, rows, cols, min(2, rows * cols - 2))[0]
+    xy = _uncached_xy(rows, cols)
+    feats = encode_features(p)
+    assert np.array_equal(feats[:, :2], xy)
+    assert np.array_equal(feats[:, 2:].sum(axis=1), np.ones(rows * cols))
+    delta = xy - xy[p.probe]
+    norm = np.sqrt((delta ** 2).sum(axis=1, keepdims=True))
+    assert np.array_equal(pol.ppe_features(p, "norm"), norm)
+    assert np.array_equal(pol.ppe_features(p, "delta-and-norm"),
+                          np.concatenate([delta, norm], axis=1))
+
+    cached = board_xy(rows, cols)
+    assert cached is board_xy(rows, cols)
+    with pytest.raises(ValueError):
+        cached[0, 0] = 5.0
+    feats[:, :2] = 5.0       # callers get their own arrays
+    assert np.array_equal(board_xy(rows, cols), xy)
 
 
 def test_encode_shapes_and_board_mismatch():

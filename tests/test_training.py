@@ -7,7 +7,7 @@ from decapbench import autodiff as ad
 from decapbench import policy as pol
 from decapbench import training as tr
 from decapbench.env import Problem, gen_problem, gen_problem_set
-from decapbench.errors import ContractViolation
+from decapbench.errors import ContractViolation, NumericFailure
 from decapbench.search import ExpertRecord, ga_solve, GaConfig
 
 CFG = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32)
@@ -99,6 +99,23 @@ def test_order_bias_positive_for_fresh_network():
     assert est.value > 0.0
 
 
+def test_order_bias_batched_scoring_matches_per_draw_loop():
+    probs = gen_problem_set(5, 5, 4, 4, 3)
+    policy = pol.DevFormerPolicy(pol.init_params(CFG), CFG)
+    for seed in range(3):
+        rng = make_rng(seed)
+        terms = []
+        for _ in range(20):
+            prob = probs[int(rng.integers(len(probs)))]
+            placement, lp = policy.sample_placement(prob, 3, rng)
+            lp2 = policy.placement_log_prob(prob,
+                                            tr.ap_transform(placement, rng))
+            terms.append(abs(math.exp(lp) - math.exp(lp2)))
+        est = tr.order_bias_estimate(policy, probs, s=20, seed=seed, k=3)
+        assert est.value == pytest.approx(float(np.mean(terms)), rel=1e-12,
+                                          abs=0)
+
+
 class BiasedTwoStepPolicy:
     """Hand-built policy over ordered pairs with a known, closed-form
     order bias: first action uniform, second proportional to the port
@@ -180,6 +197,21 @@ def test_train_smoke_and_log(eval3, tmp_path):
     lines = log_path.read_text().splitlines()
     assert lines[0] == "step,train_nll,self_loss,val_J,order_bias"
     assert len(lines) == 3
+
+
+def test_train_nan_after_relu_reaches_non_finite_guard(eval3):
+    # relu propagates NaN, so a NaN feed-forward bias makes the loss
+    # non-finite instead of being zeroed away.
+    recs, probs = _tiny_dataset(eval3, n=4)
+    hashes = {p.canonical_hash() for p in probs}
+    val = gen_problem_set(79, 2, 3, 3, 2, exclude_hashes=hashes)
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
+                          n_train=4, val_size=2, max_steps=1, n_rows=3,
+                          n_cols=3, keepout_max=2)
+    store = pol.init_params(CFG)
+    store["enc0.ff1.b"].data[0] = np.nan
+    with pytest.raises(NumericFailure):
+        tr.train(recs, tcfg, CFG, eval3, val, store=store)
 
 
 def test_train_rejects_val_overlap(eval3):
