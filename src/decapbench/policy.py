@@ -11,8 +11,9 @@ All decoding goes through one core, decode(), which maps T queries and T
 masks to T rows of log-probabilities. The glimpse keys/values and the
 pointer keys depend only on the encoding, so decoder_cache() projects them
 once per encode. Under teacher forcing every step's query is known up
-front, so sequence_log_prob() decodes all K steps in one pass; rollouts
-call the same core one step at a time.
+front, so decode_log_prob() decodes all K steps from a given encoding in
+one pass (sequence_log_prob() encodes, then calls it); rollouts call the
+same core one step at a time.
 """
 
 from __future__ import annotations
@@ -231,38 +232,6 @@ def decode(cache: DecoderCache, queries: ad.Tensor, masks: np.ndarray,
     return ad.masked_log_softmax(logits, masks)
 
 
-def context_query(h: ad.Tensor, probe_idx, prev: ad.Tensor | None,
-                  store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """Decoder query for one step, shape (B, d).
-
-    prev is the previously selected port's embedding (B, d), or None at
-    t=1, where a learned start embedding is used.
-    """
-    bsz, d = h.shape[0], cfg.d_model
-    if cfg.use_rcn:
-        prev = _start(bsz, store, cfg) if prev is None \
-            else ad.reshape(prev, (bsz, 1, d))
-    q = _queries(_fixed_context(h, probe_idx, store, cfg), prev, 1, store,
-                 cfg)
-    return ad.reshape(q, (bsz, d))
-
-
-def decode_step(h: ad.Tensor, query: ad.Tensor, mask: np.ndarray,
-                store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """Per-port log-probabilities (B, N) for one step; masked ports carry
-    NEG_INF (their probability is exactly zero)."""
-    bsz, n = mask.shape
-    logp = decode(decoder_cache(h, store, cfg),
-                  ad.reshape(query, (bsz, 1, cfg.d_model)), mask[:, None],
-                  store, cfg)
-    return ad.reshape(logp, (bsz, n))
-
-
-def step_probabilities(logp: ad.Tensor) -> np.ndarray:
-    """Exact probability view of a decode step (masked entries are 0.0)."""
-    return np.exp(logp.data)
-
-
 def initial_mask(problems) -> np.ndarray:
     n = problems[0].n_ports
     mask = np.ones((len(problems), n), dtype=bool)
@@ -275,7 +244,15 @@ def initial_mask(problems) -> np.ndarray:
 def sequence_log_prob(problems, placements, store: ad.ParamStore,
                       cfg: ModelConfig, training: bool = False,
                       update_running: bool = True) -> ad.Tensor:
-    """Teacher-forced log pi(a|x) per batch item, shape (B,).
+    """Teacher-forced log pi(a|x) per batch item, shape (B,)."""
+    h = encode(problems, store, cfg, training, update_running)
+    return decode_log_prob(h, problems, placements, store, cfg)
+
+
+def decode_log_prob(h: ad.Tensor, problems, placements,
+                    store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
+    """Teacher-forced log pi(a|x) per batch item, shape (B,), decoded from
+    the problems' encoding h.
 
     Every step's query depends only on the probe and the previous expert
     action, so all K steps are decoded in one pass.
@@ -295,7 +272,6 @@ def sequence_log_prob(problems, placements, store: ad.ParamStore,
         if not masks[rows, t, actions[:, t]].all():
             raise ContractViolation("placement contains an infeasible step")
         masks[rows, t + 1:, actions[:, t]] = False
-    h = encode(problems, store, cfg, training, update_running)
     probes = np.array([p.probe for p in problems])
     cache = decoder_cache(h, store, cfg, probes)
     prev_ports = np.concatenate(

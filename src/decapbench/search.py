@@ -55,14 +55,6 @@ class GaConfig:
         return self.population * self.generations
 
 
-def ga_preset_m100(seed: int = 0) -> GaConfig:
-    return GaConfig(population=20, generations=5, elites=4, seed=seed)
-
-
-def ga_preset_m500(seed: int = 0) -> GaConfig:
-    return GaConfig(population=50, generations=10, elites=10, seed=seed)
-
-
 @dataclass(frozen=True)
 class ExpertRecord:
     problem: Problem

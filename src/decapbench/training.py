@@ -7,6 +7,12 @@ reordering of it. The self-term is exactly the order-bias metric under the
 snapshot's own trajectory distribution; its raw magnitude is a product of
 step probabilities, hence the very large weight (the paper-scale preset
 stores lambda * 1e32 as a single number).
+
+In train() the snapshot is a stop-gradient of the current parameters: one
+training-mode encode of the self-term problems serves both branches, and no
+copy of the parameters is taken. The snapshot's rollout reads the running
+batch-norm statistics, so each step computes the self-term before the
+imitation loss updates them.
 """
 
 from __future__ import annotations
@@ -62,30 +68,37 @@ def expert_loss(batch, store: ad.ParamStore, cfg: pol.ModelConfig) -> ad.Tensor:
     return ad.scale(ad.mean(lps), -1.0)
 
 
-def self_loss(problems, store: ad.ParamStore, frozen: ad.ParamStore,
-              cfg: pol.ModelConfig, k: int, rng,
-              transforms_per_sample: int = 1) -> ad.Tensor:
+def self_loss(problems, store: ad.ParamStore, frozen: ad.ParamStore | None,
+              cfg: pol.ModelConfig, k: int, rng) -> ad.Tensor:
     """Mean |pi_frozen(a'|x) - pi_theta(t(a')|x)| over sampled trajectories.
 
-    Both sequence probabilities are computed along the same batched
-    training-mode path, so with frozen == store and identity transforms the
-    loss is exactly zero. The absolute gap is evaluated as
+    frozen is a snapshot of the parameters that receives no gradient;
+    None means the current parameters under a stop-gradient. Then the
+    problems are encoded once, with the tape, and the snapshot's branch is
+    decoded from a constant copy of that encoding. Both sequence
+    probabilities use training-mode batch statistics over the same
+    problems, so with frozen == store and identity transforms the loss is
+    exactly zero. The trajectories are sampled in eval mode, from the
+    snapshot's running batch-norm statistics; with frozen None those are
+    store's, so a training step must call this before its imitation loss
+    updates them. The absolute gap is evaluated as
     e^c * |e^(l1-c) - e^(l2-c)| with c = max(l1, l2) to avoid underflow.
     Gradients flow only through store.
     """
-    samples = pol.rollout_batch(problems, frozen, cfg, "sample", k, rng)
+    snapshot = store if frozen is None else frozen
+    samples = pol.rollout_batch(problems, snapshot, cfg, "sample", k, rng)
     placements = [s[0] for s in samples]
-    rep_problems, rep_transformed = [], []
-    for prob, placement in zip(problems, placements):
-        for _ in range(transforms_per_sample):
-            rep_problems.append(prob)
-            rep_transformed.append(ap_transform(placement, rng))
-    l_frozen = pol.sequence_log_prob(
-        [p for p in problems for _ in range(transforms_per_sample)],
-        [pl for pl in placements for _ in range(transforms_per_sample)],
-        frozen, cfg, training=True, update_running=False).data
-    l_theta = pol.sequence_log_prob(rep_problems, rep_transformed, store, cfg,
-                                    training=True, update_running=False)
+    transformed = [ap_transform(pl, rng) for pl in placements]
+    h = pol.encode(problems, store, cfg, training=True, update_running=False)
+    if frozen is None:
+        with ad.no_grad():
+            l_frozen = pol.decode_log_prob(ad.Tensor(h.data), problems,
+                                           placements, store, cfg).data
+    else:
+        l_frozen = pol.sequence_log_prob(problems, placements, frozen, cfg,
+                                         training=True,
+                                         update_running=False).data
+    l_theta = pol.decode_log_prob(h, problems, transformed, store, cfg)
     c = np.maximum(l_frozen, l_theta.data)
     gap = ad.absolute(ad.Tensor(np.exp(l_frozen - c))
                       - ad.exp(l_theta + ad.Tensor(-c)))
@@ -94,11 +107,17 @@ def self_loss(problems, store: ad.ParamStore, frozen: ad.ParamStore,
 
 def total_loss(batch, problems, store, frozen, cfg: pol.ModelConfig,
                k: int, lambda_eff: float, rng) -> tuple:
-    """(loss tensor, expert component, self component)."""
+    """(loss tensor, expert component, self component).
+
+    The self term is computed first: expert_loss updates store's running
+    batch-norm statistics, and with frozen None the self term's rollout
+    must read them as they stood at the start of the step.
+    """
+    l_self = self_loss(problems, store, frozen, cfg, k, rng) \
+        if lambda_eff else None
     l_exp = expert_loss(batch, store, cfg)
-    if lambda_eff == 0.0:
+    if l_self is None:
         return l_exp, float(l_exp.data), 0.0
-    l_self = self_loss(problems, store, frozen, cfg, k, rng)
     return (l_exp + ad.scale(l_self, lambda_eff),
             float(l_exp.data), float(l_self.data))
 
@@ -138,7 +157,6 @@ class TrainConfig:
     permutations: int = 4          # reordered copies per expert label
     lambda_eff: float = 5e32       # weight on the self term (lambda * 1e32)
     k: int = 20
-    n_train: int = 2000
     val_size: int = 100
     max_steps: int = 2000
     val_interval: int = 50
@@ -147,7 +165,6 @@ class TrainConfig:
     n_rows: int = 10
     n_cols: int = 10
     keepout_max: int = 15
-    theta_refresh_every: int = 1
     self_batch: int | None = None  # defaults to batch_size
 
     def to_dict(self) -> dict:
@@ -156,7 +173,7 @@ class TrainConfig:
 
 def toy_train_config(**overrides) -> TrainConfig:
     base = dict(learning_rate=1e-3, batch_size=25, permutations=4,
-                lambda_eff=1e3, k=4, n_train=50, val_size=20,
+                lambda_eff=1e3, k=4, val_size=20,
                 max_steps=800, val_interval=100, patience=20,
                 n_rows=5, n_cols=5, keepout_max=4, self_batch=16)
     base.update(overrides)
@@ -317,6 +334,10 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
             raise ContractViolation("training and validation problems overlap")
 
     data = augment(records, tcfg.permutations, seed=tcfg.seed)
+    if len(data) < tcfg.batch_size:
+        raise ContractViolation(
+            f"the augmented dataset has {len(data)} rows, fewer than the "
+            f"batch size {tcfg.batch_size}")
     rng = np.random.Generator(np.random.PCG64(tcfg.seed + 1))
     stream = _self_problem_stream(tcfg, val_hashes, rng)
     if store is None:
@@ -325,7 +346,6 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     result = TrainResult(store=store, model_config=mcfg, train_config=tcfg)
     best_store = store.copy()
     rounds_since_best = 0
-    frozen = store.copy()
     order = []
     self_batch = tcfg.self_batch or tcfg.batch_size
 
@@ -333,11 +353,9 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
         if len(order) < tcfg.batch_size:
             order = list(rng.permutation(len(data)))
         batch = [data[order.pop()] for _ in range(tcfg.batch_size)]
-        if (step_i - 1) % tcfg.theta_refresh_every == 0:
-            frozen = store.copy()
         problems = [next(stream) for _ in range(self_batch)] \
             if tcfg.lambda_eff else []
-        loss, l_exp, l_self = total_loss(batch, problems, store, frozen,
+        loss, l_exp, l_self = total_loss(batch, problems, store, None,
                                          mcfg, tcfg.k, tcfg.lambda_eff, rng)
         if not np.isfinite(loss.data):
             state = {"step": step_i, "expert_loss": l_exp, "self_loss": l_self,

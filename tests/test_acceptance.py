@@ -179,12 +179,13 @@ def test_06_masking_soundness_exact():
     h = pol.encode(problems, store, cfg)
     mask = pol.initial_mask(problems)
     probes = np.array([p.probe for p in problems])
-    prev = None
+    cache = pol.decoder_cache(h, store, cfg, probes)
+    prev = np.full((bsz, 1), pol.START)
     k = 4
     for _ in range(k):
-        q = pol.context_query(h, probes, prev, store, cfg)
-        logp = pol.decode_step(h, q, mask, store, cfg)
-        probs = pol.step_probabilities(logp)
+        q = pol.step_queries(cache, prev, store, cfg)
+        logp = pol.decode(cache, q, mask[:, None], store, cfg)
+        probs = np.exp(logp.data[:, 0])
         # zero mass on probe, keep-out, and already chosen ports — exact
         assert np.all(probs[~mask] == 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -195,7 +196,7 @@ def test_06_masking_soundness_exact():
         assert mask[np.arange(bsz), actions].all()
         mask = mask.copy()
         mask[np.arange(bsz), actions] = False
-        prev = ad.take_rows(h, actions)
+        prev = actions[:, None]
 
 
 # --- criterion 7: order-bias estimator correctness ---------------------------------------
@@ -321,7 +322,7 @@ def test_10_zero_shot_transfer(tmp_path):
     val = gen_problem_set(1001, 5, 10, 10, 15,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=10, permutations=2,
-                          lambda_eff=0.0, k=8, n_train=10, val_size=5,
+                          lambda_eff=0.0, k=8, val_size=5,
                           max_steps=40, val_interval=20, patience=10,
                           n_rows=10, n_cols=10, keepout_max=15)
     mcfg = pol.toy_config()

@@ -185,6 +185,18 @@ def test_exit_code_malformed_dataset(workdir, tmp_path, lines):
     assert code == EXIT_CONTRACT
 
 
+def test_exit_code_dataset_smaller_than_batch(workdir, tmp_path, capsys):
+    # 4 records with the toy preset's 4 reordered copies each augment to
+    # 20 rows, fewer than its batch of 25
+    out = tmp_path / "m.ckpt"
+    code = run("train", "--dataset", workdir / "expert_dataset.jsonl",
+               "--val-problems", workdir / "val_problems.json",
+               "--preset", "toy", "--k", 2, "--out", out)
+    assert code == EXIT_CONTRACT
+    assert "batch size 25" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"schema_version": 1, "problems": [{"rows": 3}], "rows": []},
     # a row shorter than the problem list

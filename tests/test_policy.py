@@ -85,19 +85,25 @@ def test_rollout_log_prob_matches_sequence_log_prob():
 
 
 def step_by_step_log_prob(problems, placements, store, cfg):
-    """Reference: one public context_query/decode_step call per step."""
+    """Reference: one decode() call per step, each on a freshly built
+    decoder cache."""
     h = pol.encode(problems, store, cfg, training=True, update_running=False)
+    bsz = len(problems)
     mask = pol.initial_mask(problems)
     probes = np.array([p.probe for p in problems])
-    prev = total = None
+    prev = np.full((bsz, 1), pol.START)
+    total = None
     for t in range(len(placements[0])):
         actions = np.array([pl[t] for pl in placements])
-        q = pol.context_query(h, probes, prev, store, cfg)
-        picked = ad.take_rows(pol.decode_step(h, q, mask, store, cfg), actions)
+        cache = pol.decoder_cache(h, store, cfg, probes)
+        q = pol.step_queries(cache, prev, store, cfg)
+        logp = ad.reshape(pol.decode(cache, q, mask[:, None], store, cfg),
+                          mask.shape)
+        picked = ad.take_rows(logp, actions)
         total = picked if total is None else total + picked
         mask = mask.copy()
-        mask[np.arange(len(problems)), actions] = False
-        prev = ad.take_rows(h, actions)
+        mask[np.arange(bsz), actions] = False
+        prev = actions[:, None]
     return total
 
 

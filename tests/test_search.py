@@ -7,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 from decapbench.env import Problem, gen_problem_set
 from decapbench.errors import ContractViolation
 from decapbench.search import (ExpertRecord, GaConfig, build_expert_dataset,
-                               crossover, exhaustive_best, ga_preset_m100,
-                               ga_preset_m500, ga_solve, mutate_dedup,
-                               random_search, read_expert_dataset,
-                               write_expert_dataset)
+                               crossover, exhaustive_best, ga_solve,
+                               mutate_dedup, random_search,
+                               read_expert_dataset, write_expert_dataset)
 
 
 def test_ga_config_contracts_and_presets():
     with pytest.raises(ContractViolation):
         GaConfig(population=4, generations=2, elites=4)
-    assert ga_preset_m100().budget == 100
-    assert ga_preset_m500().budget == 500
+    assert GaConfig(population=20, generations=5, elites=4).budget == 100
+    assert GaConfig(population=50, generations=10, elites=10).budget == 500
 
 
 def test_crossover_halves():

@@ -184,7 +184,7 @@ def test_train_smoke_and_log(eval3, tmp_path):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(77, 4, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, n_train=6, val_size=4,
+                          lambda_eff=10.0, k=2, val_size=4,
                           max_steps=20, val_interval=10, patience=5,
                           n_rows=3, n_cols=3, keepout_max=2, self_batch=2)
     res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=8)
@@ -206,8 +206,8 @@ def test_train_nan_after_relu_reaches_non_finite_guard(eval3):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(79, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
-                          n_train=4, val_size=2, max_steps=1, n_rows=3,
-                          n_cols=3, keepout_max=2)
+                          val_size=2, max_steps=1, n_rows=3, n_cols=3,
+                          keepout_max=2)
     store = pol.init_params(CFG)
     store["enc0.ff1.b"].data[0] = np.nan
     with pytest.raises(NumericFailure):
@@ -227,7 +227,7 @@ def test_train_deterministic_given_seed(eval3):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(78, 3, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, n_train=4, val_size=3,
+                          lambda_eff=10.0, k=2, val_size=3,
                           max_steps=6, val_interval=3, patience=5,
                           n_rows=3, n_cols=3, keepout_max=2, self_batch=2,
                           seed=9)
@@ -254,3 +254,138 @@ def test_self_problem_stream_same_draws_and_bounded(run_with_timeout):
     stream = tr._self_problem_stream(cfg, every, make_rng(3))
     assert isinstance(run_with_timeout(lambda: next(stream)),
                       ContractViolation)
+
+
+def test_train_rejects_dataset_smaller_than_batch(eval3):
+    recs, probs = _tiny_dataset(eval3, n=4)
+    hashes = {p.canonical_hash() for p in probs}
+    val = gen_problem_set(80, 2, 3, 3, 2, exclude_hashes=hashes)
+    # 4 records with 4 reordered copies each augment to 20 rows < 25
+    tcfg = tr.TrainConfig(batch_size=25, permutations=4, lambda_eff=0.0, k=2,
+                          max_steps=1, n_rows=3, n_cols=3, keepout_max=2)
+    with pytest.raises(ContractViolation, match="batch size"):
+        tr.train(recs, tcfg, CFG, eval3, val)
+
+
+def _reference_self_loss(problems, store, frozen, cfg, k, rng):
+    """The self-term with a separate training-mode encode of the snapshot,
+    as computed before the two branches shared one encode."""
+    samples = pol.rollout_batch(problems, frozen, cfg, "sample", k, rng)
+    placements = [s[0] for s in samples]
+    transformed = [tr.ap_transform(pl, rng) for pl in placements]
+    l_frozen = pol.sequence_log_prob(problems, placements, frozen, cfg,
+                                     training=True, update_running=False).data
+    l_theta = pol.sequence_log_prob(problems, transformed, store, cfg,
+                                    training=True, update_running=False)
+    c = np.maximum(l_frozen, l_theta.data)
+    gap = ad.absolute(ad.Tensor(np.exp(l_frozen - c))
+                      - ad.exp(l_theta + ad.Tensor(-c)))
+    return ad.mean(ad.mul(ad.Tensor(np.exp(c)), gap))
+
+
+def _reference_train(records, tcfg, mcfg, evaluator, val, order_bias_samples):
+    """train() as a loop that copies the parameters into a snapshot at the
+    start of every step and computes the imitation loss first; every step
+    is validated."""
+    data = tr.augment(records, tcfg.permutations, seed=tcfg.seed)
+    rng = make_rng(tcfg.seed + 1)
+    stream = tr._self_problem_stream(
+        tcfg, {p.canonical_hash() for p in val}, rng)
+    store = pol.init_params(mcfg)
+    opt = tr.Adam(store, tcfg.learning_rate)
+    order, rows = [], []
+    for step_i in range(1, tcfg.max_steps + 1):
+        if len(order) < tcfg.batch_size:
+            order = list(rng.permutation(len(data)))
+        batch = [data[order.pop()] for _ in range(tcfg.batch_size)]
+        frozen = store.copy()
+        problems = [next(stream) for _ in range(tcfg.self_batch)]
+        l_exp = tr.expert_loss(batch, store, mcfg)
+        l_self = _reference_self_loss(problems, store, frozen, mcfg, tcfg.k,
+                                      rng)
+        loss = l_exp + ad.scale(l_self, tcfg.lambda_eff)
+        store.zero_grad()
+        loss.backward()
+        opt.step()
+        bias = tr.order_bias_estimate(pol.DevFormerPolicy(store, mcfg), val,
+                                      order_bias_samples, seed=tcfg.seed + 2,
+                                      k=tcfg.k)
+        rows.append({"step": step_i, "train_nll": float(l_exp.data),
+                     "self_loss": float(l_self.data),
+                     "val_J": tr.validate(store, mcfg, evaluator, val,
+                                          tcfg.k),
+                     "order_bias": bias.value})
+    return store, rows
+
+
+def test_train_shared_encode_matches_snapshot_loop(eval3):
+    recs, probs = _tiny_dataset(eval3, n=6)
+    hashes = {p.canonical_hash() for p in probs}
+    val = gen_problem_set(81, 3, 3, 3, 2, exclude_hashes=hashes)
+    # The running batch-norm statistics move by a tenth of the gap per
+    # step, so reading them after the imitation loss changes only a few
+    # sampled actions; 128 self-term problems per step make such a change
+    # show in every seed tried (0-7).
+    tcfg = tr.TrainConfig(learning_rate=1e-2, batch_size=4, permutations=1,
+                          lambda_eff=10.0, k=2, val_size=3, max_steps=3,
+                          val_interval=1, patience=10, n_rows=3, n_cols=3,
+                          keepout_max=2, self_batch=128, seed=4)
+    res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=8)
+    store, rows = _reference_train(recs, tcfg, CFG, eval3, val, 8)
+    assert res.steps_run == 3
+    assert res.log_rows == rows
+    assert all(r["self_loss"] > 0.0 for r in rows)
+    for name, t in store.params.items():
+        assert np.array_equal(res.final_store[name].data, t.data), name
+    for name, b in store.buffers.items():
+        assert np.array_equal(res.final_store.buffers[name], b), name
+
+
+def test_self_loss_shared_encode_matches_explicit_snapshot():
+    store = pol.init_params(CFG)
+    probs = gen_problem_set(12, 6, 4, 4, 3)
+
+    def loss_and_grads(frozen):
+        store.zero_grad()
+        loss = tr.self_loss(probs, store, frozen, CFG, k=3, rng=make_rng(5))
+        loss.backward()
+        return loss.data, {n: t.grad.copy() for n, t in store.params.items()
+                           if t.grad is not None}
+
+    shared = loss_and_grads(None)
+    explicit = loss_and_grads(store.copy())
+    assert shared[0] > 0.0
+    assert shared[0] == explicit[0]
+    assert shared[1].keys() == explicit[1].keys() and shared[1]
+    for name, g in explicit[1].items():
+        assert np.array_equal(shared[1][name], g), name
+
+
+def test_self_term_step_runs_three_encodes(eval3, monkeypatch):
+    # one eval-mode encode for the rollout, one training-mode encode shared
+    # by both self-term branches, one for the imitation loss
+    calls = []
+    encode, total_loss = pol.encode, tr.total_loss
+
+    def counted_encode(*args, **kwargs):
+        calls.append(1)
+        return encode(*args, **kwargs)
+
+    per_step = []
+
+    def counted_total_loss(*args, **kwargs):
+        before = len(calls)
+        out = total_loss(*args, **kwargs)
+        per_step.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(pol, "encode", counted_encode)
+    monkeypatch.setattr(tr, "total_loss", counted_total_loss)
+    recs, probs = _tiny_dataset(eval3, n=4)
+    hashes = {p.canonical_hash() for p in probs}
+    val = gen_problem_set(82, 2, 3, 3, 2, exclude_hashes=hashes)
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0, k=2,
+                          max_steps=2, val_interval=10, n_rows=3, n_cols=3,
+                          keepout_max=2, self_batch=2)
+    tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=2)
+    assert per_step == [3, 3]
