@@ -89,26 +89,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return add(self, scale(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _wrap(x) -> Tensor:
@@ -204,15 +186,6 @@ def exp(a: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, g * data)
-
-    return _make(data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        _accum(a, g / a.data)
 
     return _make(data, (a,), backward)
 
@@ -573,22 +546,31 @@ def save_checkpoint(path, store: ParamStore, config: dict, meta=None) -> None:
             fh.write(np.ascontiguousarray(b).astype("<f8").tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    blob = fh.read(n)
+    if len(blob) != n:
+        raise ContractViolation("checkpoint file is truncated")
+    return blob
+
+
+def _read_array(fh, shape) -> np.ndarray:
+    blob = _read_exact(fh, 8 * int(np.prod(shape)))
+    return np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+
+
 def load_checkpoint(path):
     """Returns (ParamStore, config dict, meta dict)."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ContractViolation("not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
+        (hlen,) = struct.unpack("<Q", _read_exact(fh, 8))
+        header = json.loads(_read_exact(fh, hlen).decode())
         if config_hash(header["config"]) != header["config_hash"]:
             raise ContractViolation("checkpoint config hash mismatch")
         store = ParamStore()
         for name, shape in header["params"]:
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            store.params[name] = Tensor(arr.copy(), requires_grad=True)
+            store.params[name] = Tensor(_read_array(fh, shape),
+                                        requires_grad=True)
         for name, shape in header["buffers"]:
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            store.buffers[name] = arr.copy()
+            store.buffers[name] = _read_array(fh, shape)
     return store, header["config"], header["meta"]

@@ -69,12 +69,21 @@ class Problem:
     def n_ports(self) -> int:
         return self.n_rows * self.n_cols
 
-    @property
+    @functools.cached_property
+    def allowed_mask(self) -> np.ndarray:
+        """(n_ports,) bool, read-only: True where a decap may go, i.e.
+        neither the probe nor a keep-out. The one feasibility rule every
+        search, policy and validation reads."""
+        mask = np.ones(self.n_ports, dtype=bool)
+        mask[list(self.keepout)] = False
+        mask[self.probe] = False
+        mask.flags.writeable = False
+        return mask
+
+    @functools.cached_property
     def allowed_ports(self) -> tuple:
-        """The ports a decap may use, ascending: neither the probe nor a
-        keep-out. The one feasibility rule every search and policy reads."""
-        blocked = self.keepout | {self.probe}
-        return tuple(p for p in range(self.n_ports) if p not in blocked)
+        """The allowed ports in ascending order."""
+        return tuple(int(p) for p in np.flatnonzero(self.allowed_mask))
 
     def to_dict(self) -> dict:
         return {"rows": self.n_rows, "cols": self.n_cols,
@@ -152,10 +161,7 @@ def validate_placement(problem: Problem, placement) -> tuple:
     board, distinct, and neither the probe nor a keep-out. Return it as a
     tuple of ints."""
     chosen = tuple(int(a) for a in placement)
-    free = [True] * problem.n_ports
-    for p in problem.keepout:
-        free[p] = False
-    free[problem.probe] = False
+    free = problem.allowed_mask.tolist()
     for a in chosen:
         if not (0 <= a < len(free) and free[a]):
             raise ContractViolation(f"infeasible action {a}")

@@ -293,8 +293,7 @@ class FrequencySweepZ:
             raise ContractViolation(f"port {port} not in sweep") from None
 
 
-def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid,
-                  topology: StackTopology | None = None) -> FrequencySweepZ:
+def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     """Z[i][j](f) = voltage at port i for unit current injected at port j.
 
     One right-hand side per distinct port node: ports on one node have the
@@ -303,7 +302,7 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid,
     ports = tuple(int(p) for p in ports)
     if len(set(ports)) != len(ports):
         raise ContractViolation("ports must be distinct")
-    topo = topology if topology is not None else StackTopology(spec)
+    topo = StackTopology(spec)
     if any(p < 0 or p >= spec.chip.n_cells for p in ports):
         raise ContractViolation("ports must be chip cell indices")
     row_of_node = {}  # distinct port node -> row of z, first appearance first

@@ -7,18 +7,20 @@ query built from the probe embedding and the previously selected port's
 embedding, one attention layer, and pointer-style per-port logits, so the
 same checkpoint runs on any board size and any placement length.
 
-All decoding goes through one core, decode(), which maps T queries and T
-masks to T rows of log-probabilities. The glimpse keys/values and the
-pointer keys depend only on the encoding, so decoder_cache() projects them
-once per encode. Under teacher forcing every step's query is known up
-front, so decode_log_prob() decodes all K steps from a given encoding in
-one pass (sequence_log_prob() encodes, then calls it); rollouts call the
-same core one step at a time.
+All decoding goes through one core, decode(), which maps T previous ports
+and T masks to T rows of log-probabilities, building the T queries itself.
+The glimpse keys/values, the pointer keys and the step-invariant query
+part depend only on the encoding, so decoder_cache() computes them once
+per encode. Feasibility comes only from Problem.allowed_mask. Under
+teacher forcing every step's previous port is known up front, so
+decode_log_prob() decodes all K steps from a given encoding in one pass
+(sequence_log_prob() encodes, then calls it); rollouts call the same two
+functions one step at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,6 +53,8 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        if set(d) != {f.name for f in fields(ModelConfig)}:
+            raise ContractViolation("model config keys do not match")
         return ModelConfig(**d)
 
 
@@ -159,38 +163,25 @@ class DecoderCache:
     table: ad.Tensor | None   # (B, N + 1, d) RCN inputs: ports, then start
 
 
-def _fixed_context(h, probe_idx, store, cfg):
-    """Step-invariant query part (B, 1, d); None when only the RCN is on.
+def decoder_cache(h: ad.Tensor, problems, store: ad.ParamStore,
+                  cfg: ModelConfig) -> DecoderCache:
+    """Project the encoding h of problems once for every decode step.
 
-    With both context networks disabled the query is the mean port
-    embedding.
+    The step-invariant query part is the PCN of the probe embedding; it is
+    None when only the RCN is on, and the mean port embedding when both
+    context networks are off.
     """
-    if cfg.use_pcn:
-        h_probe = ad.take_rows(h, np.asarray(probe_idx)[:, None])
-        return _mlp(h_probe, store, "pcn1", "pcn2")
-    if not cfg.use_rcn:
-        return ad.mean(h, axis=1, keepdims=True)
-    return None
-
-
-def _start(bsz, store, cfg):
-    return ad.broadcast_to(ad.reshape(store["start"], (1, 1, cfg.d_model)),
-                           (bsz, 1, cfg.d_model))
-
-
-def decoder_cache(h: ad.Tensor, store: ad.ParamStore, cfg: ModelConfig,
-                  probe_idx=None) -> DecoderCache:
-    """Project h once for every decode step that follows.
-
-    Without probe_idx only the attention-side entries are filled (what
-    decode() needs); step_queries() needs probe_idx too.
-    """
-    bsz = h.shape[0]
+    bsz, _, d = h.shape
     fixed = table = None
-    if probe_idx is not None:
-        fixed = _fixed_context(h, probe_idx, store, cfg)
-        if cfg.use_rcn:
-            table = ad.concat([h, _start(bsz, store, cfg)], axis=1)
+    if cfg.use_pcn:
+        probes = np.array([[p.probe] for p in problems])
+        fixed = _mlp(ad.take_rows(h, probes), store, "pcn1", "pcn2")
+    elif not cfg.use_rcn:
+        fixed = ad.mean(h, axis=1, keepdims=True)
+    if cfg.use_rcn:
+        start = ad.broadcast_to(ad.reshape(store["start"], (1, 1, d)),
+                                (bsz, 1, d))
+        table = ad.concat([h, start], axis=1)
     return DecoderCache(
         kh=ad.split_heads(h, store["dec.wk"], cfg.n_heads),
         vh=ad.split_heads(h, store["dec.wv"], cfg.n_heads),
@@ -198,47 +189,28 @@ def decoder_cache(h: ad.Tensor, store: ad.ParamStore, cfg: ModelConfig,
         fixed=fixed, table=table)
 
 
-def _queries(fixed, prev, t, store, cfg):
-    """Decoder queries (B, t, d) from the step-invariant part and the
-    previous ports' embeddings prev (B, t, d), read only by the RCN."""
-    total = fixed
-    if cfg.use_rcn:
-        r = _mlp(prev, store, "rcn1", "rcn2")
-        total = r if total is None else total + r
-    q = ad.linear(total, store["ctx.w"], store["ctx.b"])
-    return q if q.shape[1] == t \
-        else ad.broadcast_to(q, (q.shape[0], t, cfg.d_model))
-
-
-def step_queries(cache: DecoderCache, prev_ports: np.ndarray,
-                 store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """Queries (B, T, d) for T steps; prev_ports (B, T) holds the port
-    chosen before each step, START before the first."""
-    prev = ad.take_rows(cache.table, prev_ports) if cfg.use_rcn else None
-    return _queries(cache.fixed, prev, prev_ports.shape[1], store, cfg)
-
-
-def decode(cache: DecoderCache, queries: ad.Tensor, masks: np.ndarray,
+def decode(cache: DecoderCache, prev_ports: np.ndarray, masks: np.ndarray,
            store: ad.ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """Per-port log-probabilities (B, T, N) for queries (B, T, d) under
-    masks (B, T, N). The glimpse attends to every port; masked ports carry
-    NEG_INF in the output (their probability is exactly zero)."""
+    """Per-port log-probabilities (B, T, N) for T steps. prev_ports (B, T)
+    holds the port chosen before each step (START before the first) and
+    masks (B, T, N) the ports feasible at each step. The glimpse attends to
+    every port; masked ports carry NEG_INF in the output (their probability
+    is exactly zero)."""
     if not masks.any(axis=-1).all():
         raise ContractViolation("no feasible port left")
-    qh = ad.split_heads(queries, store["dec.wq"], cfg.n_heads)
+    bsz, t = prev_ports.shape
+    query = cache.fixed
+    if cfg.use_rcn:
+        r = _mlp(ad.take_rows(cache.table, prev_ports), store, "rcn1", "rcn2")
+        query = r if query is None else query + r
+    q = ad.linear(query, store["ctx.w"], store["ctx.b"])
+    if q.shape[1] != t:
+        q = ad.broadcast_to(q, (bsz, t, cfg.d_model))
+    qh = ad.split_heads(q, store["dec.wq"], cfg.n_heads)
     glimpse = ad.attend(qh, cache.kh, cache.vh, store["dec.wo"])
     logits = ad.scale(ad.matmul(glimpse, cache.keys),
                       1.0 / np.sqrt(cfg.d_model))
     return ad.masked_log_softmax(logits, masks)
-
-
-def initial_mask(problems) -> np.ndarray:
-    n = problems[0].n_ports
-    mask = np.ones((len(problems), n), dtype=bool)
-    for i, p in enumerate(problems):
-        mask[i, p.probe] = False
-        mask[i, list(p.keepout)] = False
-    return mask
 
 
 def sequence_log_prob(problems, placements, store: ad.ParamStore,
@@ -267,16 +239,15 @@ def decode_log_prob(h: ad.Tensor, problems, placements,
     actions = np.array(placements, dtype=np.int64)
     bsz = len(problems)
     rows = np.arange(bsz)
-    masks = np.repeat(initial_mask(problems)[:, None], k, axis=1)
+    masks = np.repeat(np.stack([p.allowed_mask for p in problems])[:, None],
+                      k, axis=1)
     for t in range(k):
         if not masks[rows, t, actions[:, t]].all():
             raise ContractViolation("placement contains an infeasible step")
         masks[rows, t + 1:, actions[:, t]] = False
-    probes = np.array([p.probe for p in problems])
-    cache = decoder_cache(h, store, cfg, probes)
     prev_ports = np.concatenate(
         [np.full((bsz, 1), START), actions[:, :-1]], axis=1)
-    logp = decode(cache, step_queries(cache, prev_ports, store, cfg), masks,
+    logp = decode(decoder_cache(h, problems, store, cfg), prev_ports, masks,
                   store, cfg)
     n = logp.shape[2]
     picked = ad.take_rows(ad.reshape(logp, (bsz * k, n)), actions.reshape(-1))
@@ -301,14 +272,13 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
     rows = np.arange(bsz)
     with ad.no_grad():
         h = encode(problems, store, cfg, training=False)
-        cache = decoder_cache(h, store, cfg, [p.probe for p in problems])
-        mask = initial_mask(problems)
+        cache = decoder_cache(h, problems, store, cfg)
+        mask = np.stack([p.allowed_mask for p in problems])
         prev = np.full((bsz, 1), START)
         chosen = np.empty((bsz, k), dtype=np.int64)
         logps = np.zeros(bsz)
         for t in range(k):
-            logp = decode(cache, step_queries(cache, prev, store, cfg),
-                          mask[:, None], store, cfg).data[:, 0]
+            logp = decode(cache, prev, mask[:, None], store, cfg).data[:, 0]
             probs = np.exp(logp)
             if mode == "greedy":
                 actions = np.argmax(probs, axis=1)

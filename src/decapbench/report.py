@@ -116,13 +116,13 @@ class BenchReport:
         with open(path) as fh:
             return BenchReport.from_dict(json.load(fh))
 
-    def verify(self, evaluator: Evaluator, atol: float = 0.0) -> None:
+    def verify(self, evaluator: Evaluator) -> None:
         """Re-simulate every stored placement; raise on any mismatch."""
         for row in self.rows:
             for prob, placement, score in zip(self.problems, row.placements,
                                               row.scores):
                 fresh = evaluator.evaluate(prob, placement)
-                if abs(fresh - score) > atol:
+                if fresh != score:
                     raise ContractViolation(
                         f"stored score {score!r} does not re-derive "
                         f"({fresh!r}) for method {row.method}")

@@ -295,8 +295,6 @@ def theorem_check(policy, problem: Problem, k: int,
 @dataclass
 class TrainResult:
     store: ad.ParamStore
-    model_config: pol.ModelConfig
-    train_config: TrainConfig
     log_rows: list = field(default_factory=list)
     best_val: float = -np.inf
     steps_run: int = 0
@@ -343,7 +341,7 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     if store is None:
         store = pol.init_params(mcfg)
     opt = Adam(store, tcfg.learning_rate)
-    result = TrainResult(store=store, model_config=mcfg, train_config=tcfg)
+    result = TrainResult(store=store)
     best_store = store.copy()
     rounds_since_best = 0
     order = []

@@ -177,17 +177,19 @@ def test_06_masking_soundness_exact():
     rng = np.random.Generator(np.random.PCG64(607))
     bsz = len(problems)
     h = pol.encode(problems, store, cfg)
-    mask = pol.initial_mask(problems)
-    probes = np.array([p.probe for p in problems])
-    cache = pol.decoder_cache(h, store, cfg, probes)
+    mask = np.stack([p.allowed_mask for p in problems])
+    blocked = np.zeros_like(mask)
+    for i, p in enumerate(problems):
+        blocked[i, [p.probe, *p.keepout]] = True
+    cache = pol.decoder_cache(h, problems, store, cfg)
     prev = np.full((bsz, 1), pol.START)
     k = 4
     for _ in range(k):
-        q = pol.step_queries(cache, prev, store, cfg)
-        logp = pol.decode(cache, q, mask[:, None], store, cfg)
+        logp = pol.decode(cache, prev, mask[:, None], store, cfg)
         probs = np.exp(logp.data[:, 0])
         # zero mass on probe, keep-out, and already chosen ports — exact
         assert np.all(probs[~mask] == 0.0)
+        assert np.all(probs[blocked] == 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         actions = np.empty(bsz, dtype=np.int64)
         for i in range(bsz):

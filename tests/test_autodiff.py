@@ -26,7 +26,7 @@ def test_grad_check_elementwise_chain():
 
     def fn():
         x = ad.mul(ad.exp(s["a"]), s["b"]) + ad.relu(s["a"]) - s["b"]
-        return ad.mean(ad.absolute(x) + ad.log(ad.exp(x) + ad.Tensor(2.0)))
+        return ad.mean(ad.absolute(x) + ad.exp(x))
 
     assert ad.grad_check(fn, s) < 1e-6
 

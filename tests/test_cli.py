@@ -1,10 +1,12 @@
 import itertools
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from decapbench import autodiff as ad
 from decapbench import pdn
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK,
                             greedy_sim_placement, main, min_k_for_target)
@@ -212,11 +214,46 @@ def test_exit_code_malformed_report(tmp_path, doc):
     assert code == EXIT_CONTRACT
 
 
-def test_exit_code_bad_json(tmp_path):
+def test_exit_code_bad_json(workdir, checkpoint, tmp_path):
+    # invalid JSON, then bytes that are not UTF-8, in every file argument
+    # read as JSON text
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = run("min-k", "--problems", bad, "--target", 1, "--k-max", 1)
-    assert code == EXIT_IO
+    commands = [
+        ("min-k", "--problems", bad, "--target", 1, "--k-max", 1),
+        ("eval", "--checkpoint", checkpoint, "--problems", bad, "--k", 2,
+         "--out", tmp_path / "e.json"),
+        ("report", "--report", bad, "--out", tmp_path / "plots"),
+        ("train", "--dataset", bad,
+         "--val-problems", workdir / "val_problems.json", "--steps", 1,
+         "--out", tmp_path / "m.ckpt")]
+    for content in (b"{not json", b"\xff\xfe{}"):
+        bad.write_bytes(content)
+        for argv in commands:
+            assert run(*argv) == EXIT_IO, (content, argv[0])
+
+
+def _extra_config_key(blob):
+    (hlen,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + hlen])
+    header["config"]["extra"] = 1
+    header["config_hash"] = ad.config_hash(header["config"])
+    new = json.dumps(header, sort_keys=True).encode()
+    return blob[:4] + struct.pack("<Q", len(new)) + new + blob[12 + hlen:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:len(blob) // 2],   # ends inside the parameters
+    lambda blob: blob[:6],                # ends inside the length prefix
+    _extra_config_key],
+    ids=["half", "first-6-bytes", "extra-config-key"])
+def test_exit_code_malformed_checkpoint(workdir, checkpoint, tmp_path,
+                                        damage):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(damage(checkpoint.read_bytes()))
+    code = run("eval", "--checkpoint", bad,
+               "--problems", workdir / "test_problems.json",
+               "--k", 2, "--out", tmp_path / "e.json")
+    assert code == EXIT_CONTRACT
 
 
 def test_greedy_sim_placement_feasible(eval3):

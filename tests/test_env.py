@@ -115,6 +115,24 @@ def test_gen_problem_respects_bounds(seed):
     assert p.probe not in p.keepout
 
 
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
+def test_allowed_mask_is_the_feasibility_rule(rows, cols, data):
+    n = rows * cols
+    probe = data.draw(st.integers(0, n - 1))
+    keepout = data.draw(st.frozensets(
+        st.integers(0, n - 1).filter(lambda k: k != probe)))
+    p = Problem(rows, cols, probe, keepout)
+    mask = p.allowed_mask
+    expected = np.array([i != probe and i not in keepout for i in range(n)])
+    assert mask.dtype == bool and np.array_equal(mask, expected)
+    assert p.allowed_ports == tuple(np.flatnonzero(mask))
+    assert all(type(a) is int for a in p.allowed_ports)
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+    assert np.array_equal(p.allowed_mask, expected)
+
+
 def test_evaluator_counts_and_matches_pdn(eval3):
     p = Problem(3, 3, 4, frozenset())
     before = eval3.count

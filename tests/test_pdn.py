@@ -311,8 +311,7 @@ def test_paper_stack_has_36_distinct_port_nodes():
     cfg = pdn.paper_scale_config()
     topo = pdn.StackTopology(cfg.stack)
     assert len(set(topo.chip_port_nodes.tolist())) == 36
-    sweep = pdn.solve_z_ports(cfg.stack, range(100), pdn.FreqGrid((1e9,)),
-                              topology=topo)
+    sweep = pdn.solve_z_ports(cfg.stack, range(100), pdn.FreqGrid((1e9,)))
     assert sweep.z.shape == (1, 36, 36)
 
 

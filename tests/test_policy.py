@@ -21,6 +21,12 @@ def test_model_config_contracts():
         pol.ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ContractViolation):
         pol.ModelConfig(ppe_mode="bogus")
+    d = CFG.to_dict()
+    assert pol.ModelConfig.from_dict(d) == CFG
+    for bad in ({**d, "extra": 1}, {k: v for k, v in d.items()
+                                    if k != "init_seed"}):
+        with pytest.raises(ContractViolation):
+            pol.ModelConfig.from_dict(bad)
 
 
 def test_ppe_features_probe_row_is_zero():
@@ -89,15 +95,13 @@ def step_by_step_log_prob(problems, placements, store, cfg):
     decoder cache."""
     h = pol.encode(problems, store, cfg, training=True, update_running=False)
     bsz = len(problems)
-    mask = pol.initial_mask(problems)
-    probes = np.array([p.probe for p in problems])
+    mask = np.stack([p.allowed_mask for p in problems])
     prev = np.full((bsz, 1), pol.START)
     total = None
     for t in range(len(placements[0])):
         actions = np.array([pl[t] for pl in placements])
-        cache = pol.decoder_cache(h, store, cfg, probes)
-        q = pol.step_queries(cache, prev, store, cfg)
-        logp = ad.reshape(pol.decode(cache, q, mask[:, None], store, cfg),
+        cache = pol.decoder_cache(h, problems, store, cfg)
+        logp = ad.reshape(pol.decode(cache, prev, mask[:, None], store, cfg),
                           mask.shape)
         picked = ad.take_rows(logp, actions)
         total = picked if total is None else total + picked
