@@ -12,12 +12,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
+import os
 import struct
 import threading
 
 import numpy as np
 
-from .errors import ContractViolation, NumericFailure
+from .errors import ContractViolation, NumericFailure, check_schema
 
 NEG_INF = -1e9  # finite stand-in for log(0); exp(NEG_INF) underflows to 0.0
 
@@ -522,6 +524,34 @@ def grad_check(fn, store: ParamStore, eps: float = 1e-4, seed: int = 0,
 #   data    raw float64 arrays, params then buffers, header order
 CHECKPOINT_MAGIC = b"DCB1"
 
+_ARRAY_LIST_SCHEMA = {
+    "type": "array",
+    "items": {
+        "type": "array",
+        "prefixItems": [
+            {"type": "string"},
+            {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        ],
+        "items": False,
+        "minItems": 2,
+    },
+}
+
+# The JSON header as save_checkpoint writes it.
+CHECKPOINT_HEADER_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "config": {"type": "object"},
+        "config_hash": {"type": "string"},
+        "meta": {"type": "object"},
+        "params": _ARRAY_LIST_SCHEMA,
+        "buffers": _ARRAY_LIST_SCHEMA,
+    },
+    "required": ["config", "config_hash", "meta", "params", "buffers"],
+    "additionalProperties": False,
+}
+
 
 def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
@@ -547,14 +577,17 @@ def save_checkpoint(path, store: ParamStore, config: dict, meta=None) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    blob = fh.read(n)
+    # A corrupt length larger than the file must not be allocated.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    blob = fh.read(n) if n <= left else b""
     if len(blob) != n:
         raise ContractViolation("checkpoint file is truncated")
     return blob
 
 
 def _read_array(fh, shape) -> np.ndarray:
-    blob = _read_exact(fh, 8 * int(np.prod(shape)))
+    shape = tuple(int(s) for s in shape)  # JSON may spell an integer 2.0
+    blob = _read_exact(fh, 8 * math.prod(shape))
     return np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
 
 
@@ -565,6 +598,7 @@ def load_checkpoint(path):
             raise ContractViolation("not a checkpoint file")
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8))
         header = json.loads(_read_exact(fh, hlen).decode())
+        check_schema(header, CHECKPOINT_HEADER_SCHEMA, "checkpoint header")
         if config_hash(header["config"]) != header["config_hash"]:
             raise ContractViolation("checkpoint config hash mismatch")
         store = ParamStore()

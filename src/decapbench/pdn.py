@@ -11,6 +11,7 @@ nodes are merged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,9 +117,12 @@ class FreqGrid:
         if np.any(pts <= 0) or np.any(np.diff(pts) <= 0):
             raise ContractViolation("frequencies must be positive and strictly increasing")
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.asarray(self.points_hz, dtype=np.float64)
+        """The frequencies as one read-only float64 array, built once."""
+        pts = np.array(self.points_hz, dtype=np.float64)
+        pts.flags.writeable = False
+        return pts
 
     def __len__(self):
         return len(self.points_hz)
@@ -286,10 +290,14 @@ class FrequencySweepZ:
     z: np.ndarray = field(repr=False)
     port_rows: np.ndarray = field(repr=False)
 
+    @cached_property
+    def _row_of_port(self) -> dict:
+        return dict(zip(self.ports, self.port_rows.tolist()))
+
     def port_index(self, port: int) -> int:
         try:
-            return int(self.port_rows[self.ports.index(port)])
-        except ValueError:
+            return self._row_of_port[port]
+        except KeyError:
             raise ContractViolation(f"port {port} not in sweep") from None
 
 
@@ -333,9 +341,13 @@ def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,
                   d: DecapModel) -> np.ndarray:
     """|Z| at the probe after terminating decap ports with the decap model.
 
-    Schur reduction per frequency: Z' = Zpp - Zpc (Zcc + diag(z_d))^-1 Zcp.
-    decap_ports are sorted ascending internally, so the result is
-    bit-identical under input permutation.
+    Schur reduction per frequency over the distinct sweep rows ci of the
+    decap ports, sorted ascending: Z' = Zpp - Zpc (Zcc + diag(z_d / c))^-1 Zcp,
+    where c counts the decaps on each row. Ports that share a network node
+    are electrically one port, so their c decaps act as one decap of
+    impedance z_d / c (exact in exact arithmetic), and such ports score
+    exactly equal. When every port is its own row this is the per-port
+    K x K system. The result does not depend on the order of decap_ports.
     """
     decap_ports = [int(p) for p in decap_ports]
     if len(set(decap_ports)) != len(decap_ports):
@@ -345,14 +357,18 @@ def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,
     pi = z_bare.port_index(probe)
     if not decap_ports:
         return np.abs(z_bare.z[:, pi, pi])
-    ci = [z_bare.port_index(p) for p in sorted(decap_ports)]
+    ci, counts = np.unique([z_bare.port_index(p) for p in decap_ports],
+                           return_counts=True)
+    n_freq, nd = z_bare.z.shape[:2]
+    m = len(ci)
     zpp = z_bare.z[:, pi, pi]
     zpc = z_bare.z[:, pi, ci]
     zcp = z_bare.z[:, ci, pi]
-    zcc = z_bare.z[np.ix_(np.arange(len(z_bare.grid)), ci, ci)]
+    flat = (ci[:, None] * nd + ci[None, :]).ravel()
+    a = np.take(z_bare.z.reshape(n_freq, nd * nd), flat, axis=1)
     zd = decap_impedance(d, z_bare.grid.points)
-    k = len(ci)
-    a = zcc + zd[:, None, None] * np.eye(k)[None, :, :]
+    a[:, ::m + 1] += zd[:, None] / counts
+    a = a.reshape(n_freq, m, m)
     b = zcp[:, :, None]
     try:
         x = np.linalg.solve(a, b)

@@ -1,3 +1,4 @@
+import struct
 import threading
 
 import numpy as np
@@ -345,6 +346,20 @@ def test_checkpoint_rejects_tampered_header(tmp_path):
     path.write_bytes(patched)
     with pytest.raises(ContractViolation):
         ad.load_checkpoint(path)
+
+
+def test_checkpoint_reads_shapes_spelled_as_floats(tmp_path):
+    # JSON Schema counts 2.0 as an integer, so the header check passes it.
+    s = store_with(w=np.arange(4.0).reshape(2, 2))
+    path = tmp_path / "model.ckpt"
+    ad.save_checkpoint(path, s, {"d_model": 2})
+    blob = path.read_bytes()
+    patched = blob.replace(b'["w", [2, 2]]', b'["w", [2.0, 2.0]]')
+    assert len(patched) == len(blob) + 4
+    path.write_bytes(patched[:4] + struct.pack("<Q", struct.unpack(
+        "<Q", blob[4:12])[0] + 4) + patched[12:])
+    s2, _, _ = ad.load_checkpoint(path)
+    assert np.array_equal(s2["w"].data, s["w"].data)
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):

@@ -232,20 +232,50 @@ def test_exit_code_bad_json(workdir, checkpoint, tmp_path):
             assert run(*argv) == EXIT_IO, (content, argv[0])
 
 
-def _extra_config_key(blob):
-    (hlen,) = struct.unpack("<Q", blob[4:12])
-    header = json.loads(blob[12:12 + hlen])
+def _edit_header(edit):
+    """A damage function that rewrites the checkpoint's JSON header with
+    edit(header) -> new header, keeping the data blobs."""
+    def damage(blob):
+        (hlen,) = struct.unpack("<Q", blob[4:12])
+        new = json.dumps(edit(json.loads(blob[12:12 + hlen])),
+                         sort_keys=True).encode()
+        return blob[:4] + struct.pack("<Q", len(new)) + new + blob[12 + hlen:]
+    return damage
+
+
+def _extra_config_key(header):
     header["config"]["extra"] = 1
     header["config_hash"] = ad.config_hash(header["config"])
-    new = json.dumps(header, sort_keys=True).encode()
-    return blob[:4] + struct.pack("<Q", len(new)) + new + blob[12 + hlen:]
+    return header
+
+
+def _without_params(header):
+    del header["params"]
+    return header
+
+
+def _negate_first_shape(header):
+    # Same element count, so only the shape's sign is wrong.
+    header["params"][0][1] = [-n for n in header["params"][0][1]]
+    return header
+
+
+def _huge_first_shape(header):
+    header["params"][0][1] = [2 ** 40]
+    return header
 
 
 @pytest.mark.parametrize("damage", [
     lambda blob: blob[:len(blob) // 2],   # ends inside the parameters
     lambda blob: blob[:6],                # ends inside the length prefix
-    _extra_config_key],
-    ids=["half", "first-6-bytes", "extra-config-key"])
+    lambda blob: blob[:4] + struct.pack("<Q", 2 ** 50) + blob[12:],
+    _edit_header(_extra_config_key),
+    _edit_header(_without_params),
+    _edit_header(lambda header: [header]),
+    _edit_header(_negate_first_shape),
+    _edit_header(_huge_first_shape)],
+    ids=["half", "first-6-bytes", "huge-header-length", "extra-config-key",
+         "no-params", "list-header", "negative-shape", "huge-shape"])
 def test_exit_code_malformed_checkpoint(workdir, checkpoint, tmp_path,
                                         damage):
     bad = tmp_path / "bad.ckpt"

@@ -13,6 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from decapbench import pdn
+from decapbench.cli import greedy_sim_placement
+from decapbench.env import Evaluator, Problem
 from decapbench.errors import ContractViolation, NumericFailure
 
 TWO_PI = 2.0 * np.pi
@@ -128,6 +130,20 @@ def oracle_stack_z_with_decaps(spec, decap, probe, decap_ports, f_hz):
     return np.linalg.solve(y, rhs)[chip_node[probe]]
 
 
+def per_port_attach_decaps(sweep, probe, decap_ports, decap):
+    """|Z| at the probe by the Schur termination with one row per decap
+    port: the rows of the sorted ports gathered with np.ix_, plus z_d on a
+    dense identity. Ports that share a node get duplicate rows."""
+    pi = sweep.port_index(probe)
+    ci = [sweep.port_index(p) for p in sorted(decap_ports)]
+    zcc = sweep.z[np.ix_(np.arange(len(sweep.grid)), ci, ci)]
+    zd = pdn.decap_impedance(decap, sweep.grid.points)
+    a = zcc + zd[:, None, None] * np.eye(len(ci))[None, :, :]
+    x = np.linalg.solve(a, sweep.z[:, ci, pi][:, :, None])
+    z_probe = sweep.z[:, pi, pi] - (sweep.z[:, pi, ci][:, None, :] @ x)[:, 0, 0]
+    return np.abs(z_probe)
+
+
 # --- hand-solved cases ----------------------------------------------------------
 
 def test_single_cell_impedance_closed_form():
@@ -225,6 +241,23 @@ def test_attach_decaps_permutation_bit_identical():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("rows, cols", [(4, 4), (5, 5)])
+def test_attach_decaps_chip_only_bit_identical_to_per_port_form(rows, cols):
+    # Every chip port is its own node, so each row carries one decap and
+    # the per-node system is the per-port one, bit for bit.
+    config = pdn.chip_only_config(rows, cols,
+                                  pdn.make_freq_grid(11, 2e8, 2e10))
+    n = rows * cols
+    sweep = pdn.solve_z_ports(config.stack, range(n), config.grid)
+    rng = np.random.Generator(np.random.PCG64(13))
+    for _ in range(20):
+        probe, *ports = (int(p) for p in rng.permutation(n)[
+            :int(rng.integers(2, 10))])
+        assert np.array_equal(
+            pdn.attach_decaps(sweep, probe, ports, config.decap),
+            per_port_attach_decaps(sweep, probe, ports, config.decap))
+
+
 def test_attach_no_decaps_returns_bare_profile():
     config = pdn.chip_only_config(2, 2, pdn.make_freq_grid(5, 2e8, 2e10))
     sweep = pdn.solve_z_ports(config.stack, range(4), config.grid)
@@ -280,6 +313,70 @@ def test_package_stack_attach_decaps_matches_dense_oracle(via_l):
             slow = abs(oracle_stack_z_with_decaps(spec, decap, probe,
                                                   ports, f))
             assert fast[k] == pytest.approx(slow, rel=1e-9)
+
+
+def test_ports_on_one_node_score_exactly_equal():
+    # Cells 1 and 2 share a package node, as do 4 and 8; cell 7 sits on a
+    # node whose row lies between those of 4 and 8 when sorted by port.
+    decap = pdn.DecapModel()
+    sweep = pdn.solve_z_ports(small_package_stack(0.0), range(16),
+                              pdn.make_freq_grid(7, 2e8, 2e10))
+    for probe, one, other in ((0, [1, 15], [2, 15]), (0, [4, 7], [8, 7]),
+                              (15, [4, 7, 1], [8, 7, 2])):
+        assert np.array_equal(pdn.attach_decaps(sweep, probe, one, decap),
+                              pdn.attach_decaps(sweep, probe, other, decap))
+
+
+def test_greedy_lookahead_takes_lowest_port_of_a_node():
+    # Ports on one node tie exactly, so np.argmax over the ascending
+    # candidates must take the lowest one that is still free.
+    spec = small_package_stack(0.0)
+    nodes = pdn.StackTopology(spec).chip_port_nodes
+    ev = Evaluator(pdn.SimConfig(spec, pdn.DecapModel(),
+                                 pdn.make_freq_grid(7, 2e8, 2e10)))
+    for probe in range(16):
+        problem = Problem(4, 4, probe, frozenset())
+        placement = greedy_sim_placement(problem, 15, ev)
+        for t, q in enumerate(placement):
+            lower_free = [p for p in problem.allowed_ports
+                          if p < q and nodes[p] == nodes[q]
+                          and p not in placement[:t]]
+            assert lower_free == [], (probe, placement)
+
+
+def _two_ports_on_one_row_sweep(block):
+    """Hand-built sweep over ports 0..4: port 0 (the probe) on row 0, ports
+    1 and 2 on row 1, ports 3 and 4 on rows 2 and 3, at 3 frequencies.
+    At frequency 1 the decap rows' block is chosen so that, after z_d / c is
+    added on its diagonal (c = 2, 1, 1), the terminated system is block
+    up to round-off."""
+    grid = pdn.make_freq_grid(3, 2e8, 2e10)
+    zd = pdn.decap_impedance(pdn.DecapModel(), grid.points[1])
+    z = np.zeros((3, 4, 4), dtype=complex)
+    z[:] = np.eye(4)
+    z[:, 0, 1:] = z[:, 1:, 0] = 0.5
+    z[1, 1:, 1:] = block - np.diag(zd / np.array([2, 1, 1]))
+    return pdn.FrequencySweepZ((0, 1, 2, 3, 4), grid, z,
+                               np.array([0, 1, 1, 2, 3]))
+
+
+def test_attach_decaps_singular_termination_raises():
+    # The row that carries two decaps cancels exactly only against z_d / 2.
+    block = np.diag([0.0, 1.0, 1.0]).astype(complex)
+    sweep = _two_ports_on_one_row_sweep(block)
+    with pytest.raises(NumericFailure, match="singular"):
+        pdn.attach_decaps(sweep, 0, [1, 2, 3, 4], pdn.DecapModel())
+
+
+def test_attach_decaps_residual_check_names_the_frequency():
+    # A rank-2 3x3 block whose LU leaves a round-off pivot: the solve
+    # succeeds, but its relative residual is of order 1 (cond ~1e16).
+    block = (np.array([[0.1, 0.2], [0.3, 0.7], [0.9, 0.4]])
+             @ np.array([[0.3, 0.5, 0.7], [0.2, 0.9, 0.6]])).astype(complex)
+    sweep = _two_ports_on_one_row_sweep(block)
+    with pytest.raises(NumericFailure, match="ill-conditioned") as info:
+        pdn.attach_decaps(sweep, 0, [1, 2, 3, 4], pdn.DecapModel())
+    assert info.value.frequency_index == 1
 
 
 @pytest.mark.parametrize("spec, ports", [
@@ -343,8 +440,14 @@ def test_package_stack_reciprocal_passive_and_permutation_invariant(
         unique=True))
     shuffled = data.draw(st.permutations(ports))
     decap = pdn.DecapModel()
-    assert np.array_equal(pdn.attach_decaps(sweep, probe, ports, decap),
+    per_node = pdn.attach_decaps(sweep, probe, ports, decap)
+    assert np.array_equal(per_node,
                           pdn.attach_decaps(sweep, probe, shuffled, decap))
+    # One row per distinct node with z_d / c on its diagonal equals the
+    # system with one row per port up to round-off.
+    assert np.allclose(per_node,
+                       per_port_attach_decaps(sweep, probe, ports, decap),
+                       rtol=1e-12, atol=0)
 
 
 # --- physical properties ----------------------------------------------------------
@@ -398,6 +501,7 @@ def test_default_grid_is_201_points_linear():
     assert len(g) == 201
     assert g.points[0] == 2.0e8 and g.points[-1] == 2.0e10
     assert np.allclose(np.diff(g.points), g.points[1] - g.points[0])
+    assert g.points is g.points and not g.points.flags.writeable
 
 
 def test_objective_weighting():
@@ -421,6 +525,8 @@ def test_contract_errors():
         pdn.attach_decaps(sweep, 0, [0], config.decap)
     with pytest.raises(ContractViolation):
         pdn.attach_decaps(sweep, 0, [1, 1], config.decap)
+    with pytest.raises(ContractViolation):
+        pdn.attach_decaps(sweep, 0, [1, 4], config.decap)
 
 
 def test_numeric_failure_carries_frequency_index():
