@@ -1,10 +1,12 @@
 """Minimal dense-tensor reverse-mode differentiation.
 
 The op set is deliberately closed: exactly what the placement policy needs
-(linear maps, multi-head attention, batch norm, softmax and masked
-log-softmax, elementwise nonlinearities) plus a finite-difference gradient
-checker. All data is float64 and all reductions use numpy's fixed order, so
-two identical backward passes produce bit-identical gradients.
+(linear maps, multi-head attention, batch norm, masked log-softmax,
+elementwise ops) plus a finite-difference gradient checker. Attention
+probabilities and the ReLU feed-forward block are single nodes that keep
+only what their backward reads. All data is float64 and all reductions
+use numpy's fixed order, so two identical backward passes produce
+bit-identical gradients.
 """
 
 from __future__ import annotations
@@ -172,17 +174,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); a NaN input stays NaN, so the non-finite loss guard sees
-    it."""
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        _accum(a, g * (a.data > 0))
-
-    return _make(data, (a,), backward)
-
-
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
@@ -307,18 +298,72 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(y2.reshape(x.shape[:-1] + (dout,)), parents, backward)
 
 
-def softmax(logits: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    x = logits.data
-    p = x - np.max(x, axis=-1, keepdims=True)
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """linear(relu(linear(x, w1, b1)), w2, b2) as one node: x (..., din),
+    w1 (din, dff), w2 (dff, dout).
+
+    The ReLU runs in place, so the tape keeps x and the hidden output h
+    but not the pre-activation: the backward mask h > 0 equals pre > 0. A
+    NaN stays NaN through the ReLU, so the non-finite loss guard sees it.
+    Forward and backward run the three-node chain's arithmetic in its
+    order.
+    """
+    din, dff = w1.shape
+    dout = w2.shape[1]
+    if x.shape[-1] != din or w2.shape[0] != dff:
+        raise ContractViolation("feed_forward: shape mismatch")
+    x2 = x.data.reshape(-1, din)
+    h2 = x2 @ w1.data
+    h2 += b1.data
+    np.maximum(h2, 0.0, out=h2)
+    y2 = h2 @ w2.data
+    y2 += b2.data
+
+    def backward(g):
+        g2 = g.reshape(-1, dout)
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = (g2 @ w2.data.T) * (h2 > 0)
+        _accum(w2, h2.T @ g2)
+        _accum(b2, g2.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, (gh @ w1.data.T).reshape(x.shape))
+        if w1.requires_grad:
+            _accum(w1, x2.T @ gh)
+        if b1.requires_grad:
+            _accum(b1, gh.sum(axis=0))
+
+    return _make(y2.reshape(x.shape[:-1] + (dout,)), (x, w1, b1, w2, b2),
+                 backward)
+
+
+def attention_probs(qh: Tensor, kh: Tensor, c: float) -> Tensor:
+    """softmax(c * qh @ kh^T) over the last axis as one node: head-split
+    queries (B, heads, Tq, dh) and keys (B, heads, Tk, dh) give
+    probabilities (B, heads, Tq, Tk).
+
+    The scores are scaled and normalized in place, so the tape keeps only
+    the probabilities, which are all that softmax backward needs. Forward
+    and backward run the matmul, scale and softmax chain's arithmetic in
+    its order.
+    """
+    if qh.shape[:2] != kh.shape[:2] or qh.shape[3] != kh.shape[3]:
+        raise ContractViolation("attention_probs: shape mismatch")
+    p = qh.data @ np.swapaxes(kh.data, -1, -2)
+    p *= c
+    p -= np.max(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        _accum(logits, p * (g - dot))
+        gs = p * (g - (g * p).sum(axis=-1, keepdims=True))
+        gs *= c
+        if qh.requires_grad:
+            _accum(qh, gs @ kh.data)
+        if kh.requires_grad:
+            _accum(kh, np.swapaxes(np.swapaxes(qh.data, -1, -2) @ gs, -1, -2))
 
-    return _make(p, (logits,), backward)
+    return _make(p, (qh, kh), backward)
 
 
 def masked_log_softmax(logits: Tensor, mask) -> Tensor:
@@ -399,8 +444,7 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, wo: Tensor) -> Tensor:
     """Scaled dot-product attention over head-split inputs (B, heads, T, dh)
     with output projection: (B, Tq, heads * dh)."""
     bsz, n_heads, tq, dh = qh.shape
-    scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = softmax(scores)
+    attn = attention_probs(qh, kh, 1.0 / np.sqrt(dh))
     ctx = matmul(attn, vh)  # (B, h, Tq, dh)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, tq, n_heads * dh))
     return linear(ctx, wo)

@@ -123,6 +123,9 @@ def gen_problem(rng, n_rows: int, n_cols: int, keepout_max: int) -> Problem:
 def problem_space_size(n_rows: int, n_cols: int, keepout_max: int) -> int:
     """Number of distinct problems gen_problem can return: a probe and a
     keep-out set of at most keepout_max of the other ports."""
+    if n_rows < 1 or n_cols < 1:
+        raise ContractViolation(
+            f"board dimensions must be positive, got {n_rows}x{n_cols}")
     n = n_rows * n_cols
     return n * sum(math.comb(n - 1, j) for j in range(keepout_max + 1))
 

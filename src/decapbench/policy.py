@@ -135,9 +135,7 @@ def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
                           store[f"{pre}.bn1.gamma"], store[f"{pre}.bn1.beta"],
                           store.buffers, f"{pre}.bn1", training,
                           update_running=update_running)
-        f = ad.linear(ad.relu(ad.linear(h, store[f"{pre}.ff1.w"],
-                                        store[f"{pre}.ff1.b"])),
-                      store[f"{pre}.ff2.w"], store[f"{pre}.ff2.b"])
+        f = _mlp(h, store, f"{pre}.ff1", f"{pre}.ff2")
         h = ad.batch_norm(h + f if cfg.residual else f,
                           store[f"{pre}.bn2.gamma"], store[f"{pre}.bn2.beta"],
                           store.buffers, f"{pre}.bn2", training,
@@ -146,8 +144,8 @@ def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
 
 
 def _mlp(x, store, p1, p2):
-    return ad.linear(ad.relu(ad.linear(x, store[p1 + ".w"], store[p1 + ".b"])),
-                     store[p2 + ".w"], store[p2 + ".b"])
+    return ad.feed_forward(x, store[p1 + ".w"], store[p1 + ".b"],
+                           store[p2 + ".w"], store[p2 + ".b"])
 
 
 START = -1  # prev-port index of the first step: the table's start row

@@ -45,8 +45,8 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.elites >= self.population:
-            raise ContractViolation("elites must be < population")
+        if not 0 <= self.elites < self.population:
+            raise ContractViolation("need 0 <= elites < population")
         if self.population < 2 or self.generations < 1:
             raise ContractViolation("need population >= 2 and generations >= 1")
 
@@ -77,6 +77,8 @@ class ExpertRecord:
 
 def _random_placement(problem: Problem, k: int, rng) -> tuple:
     feasible = problem.allowed_ports
+    if k < 1:
+        raise ContractViolation("K must be >= 1")
     if len(feasible) < k:
         raise ContractViolation("fewer feasible ports than K")
     pick = rng.choice(np.array(feasible), size=k, replace=False)

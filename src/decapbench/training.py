@@ -136,16 +136,30 @@ class Adam:
         self.v = {n: np.zeros_like(t.data) for n, t in store.params.items()}
 
     def step(self) -> None:
+        """One update of every parameter that has a gradient. m, v and the
+        parameters change in place, by the operations of the out-of-place
+        form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        p -= lr*mhat / (sqrt(vhat) + eps) in the same order, so the
+        results are bitwise equal to it."""
         self.t += 1
+        c1 = 1 - self.b1 ** self.t
+        c2 = 1 - self.b2 ** self.t
         for name, t in self.store.params.items():
             g = t.grad
             if g is None:
                 continue
-            m = self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            v = self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            t.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            v += (1 - self.b2) * g * g
+            update = m / c1
+            update *= self.lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            t.data -= update
 
 
 # --- training configuration ---------------------------------------------------
@@ -166,6 +180,13 @@ class TrainConfig:
     n_cols: int = 10
     keepout_max: int = 15
     self_batch: int | None = None  # defaults to batch_size
+
+    def __post_init__(self):
+        for name in ("batch_size", "k", "max_steps", "val_interval"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be >= 1")
+        if self.self_batch is not None and self.self_batch < 1:
+            raise ContractViolation("self_batch must be >= 1 when set")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -19,14 +19,38 @@ def store_with(**arrays):
     return s
 
 
+# Reference ops for the fused nodes' chains: the separate relu and softmax
+# nodes they replaced, built on the same tape primitives.
+
+def _relu(a):
+    def backward(g):
+        ad._accum(a, g * (a.data > 0))
+
+    return ad._make(np.maximum(a.data, 0.0), (a,), backward)
+
+
+def _softmax(logits):
+    p = logits.data - np.max(logits.data, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        ad._accum(logits, p * (g - dot))
+
+    return ad._make(p, (logits,), backward)
+
+
 # --- per-op gradient checks ------------------------------------------------------
 
 def test_grad_check_elementwise_chain():
     rng = make_rng(1)
     s = store_with(a=rng.normal(size=(3, 4)), b=rng.normal(size=(3, 4)))
+    eye, zero = ad.Tensor(np.eye(4)), ad.Tensor(np.zeros(4))
 
     def fn():
-        x = ad.mul(ad.exp(s["a"]), s["b"]) + ad.relu(s["a"]) - s["b"]
+        relu_a = ad.feed_forward(s["a"], eye, zero, eye, zero)
+        x = ad.mul(ad.exp(s["a"]), s["b"]) + relu_a - s["b"]
         return ad.mean(ad.absolute(x) + ad.exp(x))
 
     assert ad.grad_check(fn, s) < 1e-6
@@ -161,6 +185,82 @@ def test_grad_check_mha():
     assert ad.grad_check(fn, s) < 1e-5
 
 
+def test_grad_check_feed_forward():
+    rng = make_rng(15)
+    s = store_with(x=rng.normal(size=(2, 3, 4)), w1=rng.normal(size=(4, 6)),
+                   b1=rng.normal(size=6), w2=rng.normal(size=(6, 5)),
+                   b2=rng.normal(size=5))
+    weights = ad.Tensor(rng.normal(size=(2, 3, 5)))
+
+    def fn():
+        y = ad.feed_forward(s["x"], s["w1"], s["b1"], s["w2"], s["b2"])
+        return ad.tensor_sum(ad.mul(y, weights))
+
+    assert ad.grad_check(fn, s) < 1e-6
+
+
+def test_grad_check_attention_probs():
+    rng = make_rng(16)
+    s = store_with(qh=rng.normal(size=(2, 2, 3, 4)),
+                   kh=rng.normal(size=(2, 2, 5, 4)))
+    weights = ad.Tensor(rng.normal(size=(2, 2, 3, 5)))
+
+    def fn():
+        p = ad.attention_probs(s["qh"], s["kh"], 1.0 / np.sqrt(3))
+        return ad.tensor_sum(ad.mul(p, weights))
+
+    assert ad.grad_check(fn, s) < 1e-6
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_feed_forward_matches_chain_bitwise(input_grad):
+    rng = make_rng(17)
+    ref = store_with(w1=rng.normal(size=(6, 9)), b1=rng.normal(size=9),
+                     w2=rng.normal(size=(9, 5)), b2=rng.normal(size=5))
+    x = rng.normal(size=(4, 7, 6))
+    if input_grad:
+        ref.add("x", x)
+    fused = ref.copy(requires_grad=True)
+    upstream = ad.Tensor(rng.normal(size=(4, 7, 5)))
+
+    def inputs(s):
+        return s["x"] if input_grad else ad.Tensor(x)
+
+    y_ref = ad.linear(_relu(ad.linear(inputs(ref), ref["w1"], ref["b1"])),
+                      ref["w2"], ref["b2"])
+    y = ad.feed_forward(inputs(fused), fused["w1"], fused["b1"],
+                        fused["w2"], fused["b2"])
+    assert np.array_equal(y.data, y_ref.data)
+    ad.tensor_sum(ad.mul(y_ref, upstream)).backward()
+    ad.tensor_sum(ad.mul(y, upstream)).backward()
+    for name in ref.params:
+        assert np.array_equal(fused[name].grad, ref[name].grad), name
+
+
+@pytest.mark.parametrize("query_grad", [True, False])
+def test_attention_probs_matches_chain_bitwise(query_grad):
+    rng = make_rng(18)
+    ref = store_with(kh=rng.normal(size=(3, 2, 6, 4)))
+    qh = rng.normal(size=(3, 2, 5, 4))
+    if query_grad:
+        ref.add("qh", qh)
+    fused = ref.copy(requires_grad=True)
+    upstream = ad.Tensor(rng.normal(size=(3, 2, 5, 6)))
+    c = 1.0 / np.sqrt(3)    # not a power of two, so scaling rounds
+
+    def queries(s):
+        return s["qh"] if query_grad else ad.Tensor(qh)
+
+    p_ref = _softmax(ad.scale(
+        ad.matmul(queries(ref), ad.transpose(ref["kh"], (0, 1, 3, 2))), c))
+    p = ad.attention_probs(queries(fused), fused["kh"], c)
+    assert np.array_equal(p.data, p_ref.data)
+    ad.tensor_sum(ad.mul(p_ref, upstream)).backward()
+    ad.tensor_sum(ad.mul(p, upstream)).backward()
+    for name in ref.params:
+        assert np.array_equal(fused[name].grad, ref[name].grad), name
+
+
 def test_grad_check_batch_norm_training_mode():
     rng = make_rng(6)
     s = store_with(x=rng.normal(size=(4, 3, 5)), gamma=np.ones(5),
@@ -180,10 +280,12 @@ def test_grad_check_batch_norm_training_mode():
 
 def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
     rng = make_rng(12)
-    s = store_with(w=rng.normal(size=(3, 3)), x=rng.normal(size=(2, 3)))
+    s = store_with(w=rng.normal(size=(3, 3)), x=rng.normal(size=(2, 3)),
+                   b=rng.normal(size=3), w2=rng.normal(size=(3, 3)),
+                   b2=rng.normal(size=3))
 
     def fn():
-        y = ad.relu(ad.matmul(s["x"], s["w"]))
+        y = ad.feed_forward(s["x"], s["w"], s["b"], s["w2"], s["b2"])
         return y, ad.mean(ad.mul(y, y))
 
     s.zero_grad()
@@ -226,8 +328,10 @@ def test_masked_log_softmax_exact_zeros_and_normalization():
     p = np.exp(ad.masked_log_softmax(logits, mask).data)
     assert p[0, 1] == 0.0 and p[0, 3] == 0.0   # NEG_INF underflows to 0
     assert p.sum() == pytest.approx(1.0, abs=1e-15)
-    full = ad.softmax(ad.Tensor(logits.data[:, mask[0]])).data
-    assert np.allclose(p[0, mask[0]], full[0], rtol=1e-15)
+    kept = logits.data[0, mask[0]]
+    full = np.exp(kept - kept.max())
+    full /= full.sum()
+    assert np.allclose(p[0, mask[0]], full, rtol=1e-15)
 
 
 def test_masked_log_softmax_all_masked_row_rejected():
@@ -302,12 +406,16 @@ def test_shared_upstream_gradient_is_not_aliased():
     np.testing.assert_array_equal(s["a"].grad, 2 * c)
 
 
-def test_relu_propagates_nan():
-    s = store_with(a=np.array([np.nan, -1.0, 2.0]))
-    y = ad.relu(s["a"])
-    assert np.isnan(y.data[0]) and y.data[1] == 0.0 and y.data[2] == 2.0
+def test_feed_forward_propagates_nan():
+    # Pre-activations [nan, -1, 2]: the NaN survives the ReLU into every
+    # output, and the backward mask h > 0 is False at the NaN, as pre > 0.
+    s = store_with(x=np.zeros((1, 3)), b1=np.array([np.nan, -1.0, 2.0]))
+    eye = ad.Tensor(np.eye(3))
+    y = ad.feed_forward(s["x"], eye, s["b1"], eye, ad.Tensor(np.zeros(3)))
+    assert np.isnan(y.data).all()
     ad.tensor_sum(y).backward()
-    np.testing.assert_array_equal(s["a"].grad, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(s["b1"].grad, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(s["x"].grad, [[0.0, 0.0, 1.0]])
 
 
 # --- param store and checkpoints ---------------------------------------------------

@@ -5,10 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from decapbench import autodiff as ad
 from decapbench import pdn
-from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK,
+from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                             greedy_sim_placement, main, min_k_for_target)
 from decapbench.env import read_problem_file
 
@@ -230,6 +232,87 @@ def test_exit_code_bad_json(workdir, checkpoint, tmp_path):
         bad.write_bytes(content)
         for argv in commands:
             assert run(*argv) == EXIT_IO, (content, argv[0])
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-2, -2)])
+def test_exit_code_gen_non_positive_board(tmp_path, capsys, rows, cols):
+    code = run("gen", "--rows", rows, "--cols", cols, "--val", 2,
+               "--test", 2, "--keepout-max", 1, "--out", tmp_path)
+    assert code == EXIT_CONTRACT
+    assert "board dimensions must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, field", [("--steps", "max_steps"),
+                                         ("--batch", "batch_size"),
+                                         ("--k", "k")])
+@pytest.mark.parametrize("value", [0, -1])
+def test_exit_code_train_non_positive_count(workdir, tmp_path, capsys, flag,
+                                            field, value):
+    out = tmp_path / "m.ckpt"
+    code = run("train", "--dataset", workdir / "expert_dataset.jsonl",
+               "--val-problems", workdir / "val_problems.json",
+               "--preset", "toy", "--batch", 8, "--steps", 1, "--k", 2,
+               flag, value, "--out", out)
+    assert code == EXIT_CONTRACT
+    assert f"{field} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _ints(lo, hi):
+    return st.integers(min_value=lo, max_value=hi)
+
+
+# (command, its numeric arguments). GA presets start with a non-negative
+# population so that argparse reads them as values, not as options.
+NUMERIC_ARGUMENTS = st.one_of(
+    st.builds(lambda r, c, ko: ("gen", ["--rows", r, "--cols", c,
+                                        "--keepout-max", ko]),
+              _ints(-1, 5), _ints(-1, 5), _ints(-1, 9)),
+    st.builds(lambda b, s, k: ("train", ["--batch", b, "--steps", s,
+                                         "--k", k]),
+              _ints(-1, 6), _ints(-1, 2), _ints(-1, 9)),
+    st.builds(lambda k: ("min-k", ["--k-max", k]), _ints(-2, 12)),
+    st.builds(lambda k, rs, ga: ("baselines", ["--k", k, "--rs-budgets", *rs,
+                                               "--ga-presets", *ga]),
+              _ints(-1, 9), st.lists(_ints(-1, 4), max_size=2),
+              st.lists(st.builds("{}:{}:{}".format, _ints(0, 5),
+                                 _ints(-1, 3), _ints(-1, 4)), max_size=2)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(case=("gen", ["--rows", 0, "--cols", 3, "--keepout-max", 2]))
+@example(case=("train", ["--batch", 2, "--steps", 1, "--k", -1]))
+@example(case=("baselines", ["--k", -1, "--rs-budgets", 2,
+                             "--ga-presets"]))
+@given(case=NUMERIC_ARGUMENTS)
+def test_numeric_arguments_exit_cleanly(workdir, tmp_path, capsys,
+                                        run_with_timeout, case):
+    command, numeric = case
+    fixed = {
+        "gen": ("--train", 0, "--val", 2, "--test", 2,
+                "--out", tmp_path / "gen"),
+        "train": ("--dataset", workdir / "expert_dataset.jsonl",
+                  "--val-problems", workdir / "val_problems.json",
+                  "--preset", "toy", "--out", tmp_path / "m.ckpt"),
+        "min-k": ("--problems", workdir / "test_problems.json",
+                  "--target", 1e9),
+        "baselines": ("--problems", workdir / "test_problems.json",
+                      "--out", tmp_path / "b.json"),
+    }[command]
+    codes = []
+
+    def call():
+        try:
+            codes.append(run(command, *fixed, *numeric))
+        except SystemExit as exc:   # argparse rejected the command line
+            codes.append(exc.code)
+
+    assert run_with_timeout(call) is None
+    captured = capsys.readouterr()
+    assert codes[0] in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
+    assert "Traceback" not in captured.out + captured.err
 
 
 def _edit_header(edit):

@@ -166,6 +166,42 @@ def test_inference_records_no_tape(monkeypatch):
     assert pol.sequence_log_prob([p], [placement], store, CFG).requires_grad
 
 
+def _tape_buffers(out):
+    """The distinct arrays a tape keeps alive: every node's data and every
+    array its backward closure holds, each reduced to the buffer it views."""
+    buffers, seen, stack = {}, set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays = [node.data]
+        if node._backward is not None:
+            arrays += [cell.cell_contents
+                       for cell in node._backward.__closure__ or ()
+                       if isinstance(cell.cell_contents, np.ndarray)]
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a
+        stack.extend(node._parents)
+    return list(buffers.values())
+
+
+def test_training_encode_tape_keeps_one_attention_and_hidden_buffer():
+    # Per encoder layer the tape holds the attention probabilities, not the
+    # raw or scaled scores, and the feed-forward ReLU output, not its
+    # pre-activation. The sizes below collide with no other buffer.
+    cfg = pol.toy_config(n_layers=2, d_model=8, n_heads=2, ff_dim=12)
+    bsz, n = 3, 9
+    problems = gen_problem_set(2, bsz, 3, 3, 2)
+    h = pol.encode(problems, pol.init_params(cfg), cfg, training=True,
+                   update_running=False)
+    sizes = [a.size for a in _tape_buffers(h)]
+    assert sizes.count(bsz * cfg.n_heads * n * n) == cfg.n_layers
+    assert sizes.count(bsz * n * cfg.ff_dim) == cfg.n_layers
+
+
 def test_greedy_rollout_deterministic():
     policy = pol.DevFormerPolicy(pol.init_params(CFG), CFG)
     p = gen_problem_set(2, 1, 4, 4, 3)[0]

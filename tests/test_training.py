@@ -84,6 +84,45 @@ def test_adam_reduces_expert_loss():
     assert tr.expert_loss(batch, store, CFG).data < first * 0.8
 
 
+def test_adam_in_place_step_equals_out_of_place_formula():
+    rng = make_rng(21)
+    store = ad.ParamStore()
+    store.add("w", rng.normal(size=(4, 3)))
+    store.add("b", rng.normal(size=3))
+    opt = tr.Adam(store, lr=1e-2)
+    ref = {n: t.data.copy() for n, t in store.params.items()}
+    m = {n: np.zeros_like(p) for n, p in ref.items()}
+    v = {n: np.zeros_like(p) for n, p in ref.items()}
+    b1, b2, eps = opt.b1, opt.b2, opt.eps
+    for t in range(1, 30):
+        grads = {n: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+                 for n, p in ref.items()}
+        if t % 7 == 0:
+            del grads["b"]          # a parameter without a gradient
+        store.zero_grad()
+        for n, g in grads.items():
+            store[n].grad = g.copy()
+        opt.step()
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1 - b1) * g
+            v[n] = b2 * v[n] + (1 - b2) * g * g
+            mhat = m[n] / (1 - b1 ** t)
+            vhat = v[n] / (1 - b2 ** t)
+            ref[n] -= 1e-2 * mhat / (np.sqrt(vhat) + eps)
+        for n in ref:
+            assert np.array_equal(store[n].data, ref[n]), (t, n)
+            assert np.array_equal(opt.m[n], m[n]), (t, n)
+            assert np.array_equal(opt.v[n], v[n]), (t, n)
+
+
+@pytest.mark.parametrize("field", ["batch_size", "k", "max_steps",
+                                   "val_interval", "self_batch"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_train_config_rejects_non_positive_counts(field, value):
+    with pytest.raises(ContractViolation, match=field):
+        tr.TrainConfig(**{field: value})
+
+
 def test_order_bias_uniform_policy_exactly_zero():
     probs = gen_problem_set(4, 5, 4, 4, 3)
     est = tr.order_bias_estimate(tr.SequentialUniformPolicy(), probs,
