@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Directional comparison of symmetry-regularized training against pure
-imitation on the 5x5 toy setup: order bias and validation score over
-multiple seeds at equal step budgets.
+imitation on the 5x5 toy setup (training.directional_experiment): order
+bias and final validation score over multiple seeds at equal step budgets.
 
     python3 scripts/run_cse_vs_il.py --seeds 5
 """
@@ -9,47 +9,25 @@ multiple seeds at equal step budgets.
 import argparse
 import time
 
-from decapbench import pdn, policy as pol, training as tr
-from decapbench.env import Evaluator, gen_problem_set
-from decapbench.search import GaConfig, ga_solve
+from decapbench import training as tr
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--bias-samples", type=int, default=512)
     args = ap.parse_args()
 
-    ev = Evaluator(pdn.chip_only_config(5, 5))
-    probs = gen_problem_set(100, 50, 5, 5, 4)
-    records = [ga_solve(p, 4, GaConfig(seed=i), ev)
-               for i, p in enumerate(probs)]
-    val = tr.make_validation_problems(tr.toy_train_config(), 999,
-                                      {p.canonical_hash() for p in probs})
-
-    def run(seed, lambda_eff):
-        tcfg = tr.toy_train_config(seed=seed, lambda_eff=lambda_eff,
-                                   patience=1000)
-        mcfg = pol.toy_config(init_seed=seed)
-        res = tr.train(records, tcfg, mcfg, ev, val)
-        policy = pol.DevFormerPolicy(res.final_store, mcfg)
-        bias = tr.order_bias_estimate(policy, val, args.bias_samples,
-                                      seed=42, k=tcfg.k).value
-        j = tr.validate(res.final_store, mcfg, ev, val, tcfg.k)
-        return bias, j
-
-    lam = tr.toy_train_config().lambda_eff
     t0 = time.time()
+    runs = tr.directional_experiment(range(args.seeds), ("cse", "il"))
     bias_wins = j_wins = 0
     print(f"{'seed':>4} {'bias IL':>12} {'bias CSE':>12} "
           f"{'J IL':>10} {'J CSE':>10}")
     for seed in range(args.seeds):
-        b_il, j_il = run(seed, 0.0)
-        b_cse, j_cse = run(seed, lam)
-        bias_wins += b_cse < b_il
-        j_wins += j_cse >= j_il
-        print(f"{seed:>4} {b_il:>12.3e} {b_cse:>12.3e} "
-              f"{j_il:>10.3f} {j_cse:>10.3f}")
+        il, cse = runs[("il", seed)], runs[("cse", seed)]
+        bias_wins += cse["bias"] < il["bias"]
+        j_wins += cse["final_j"] >= il["final_j"]
+        print(f"{seed:>4} {il['bias']:>12.3e} {cse['bias']:>12.3e} "
+              f"{il['final_j']:>10.3f} {cse['final_j']:>10.3f}")
     print(f"bias wins {bias_wins}/{args.seeds}, "
           f"J wins {j_wins}/{args.seeds}  "
           f"[{time.time() - t0:.0f}s]")

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 contract violation, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -91,38 +92,29 @@ def cmd_gen(args) -> int:
 
 # --- train --------------------------------------------------------------------
 
-def _train_configs(args):
+def _train_configs(args, rows: int, cols: int):
+    """The preset's train and model configs, with the train flags that are
+    set and the dataset's board size applied to the train config."""
     if args.preset == "paper":
         tcfg = training.TrainConfig(seed=args.seed)
         mcfg = pol.ModelConfig(init_seed=args.seed)
-    elif args.preset == "toy":
+    else:
         tcfg = training.toy_train_config(seed=args.seed)
         mcfg = pol.toy_config(init_seed=args.seed)
-    else:
-        raise ContractViolation(f"unknown preset {args.preset!r}")
-    overrides = {}
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    if args.batch is not None:
-        overrides["batch_size"] = args.batch
-    if args.steps is not None:
-        overrides["max_steps"] = args.steps
-    if args.k is not None:
-        overrides["k"] = args.k
-    if getattr(args, "lambda_eff") is not None:
-        overrides["lambda_eff"] = args.lambda_eff
-    if overrides:
-        tcfg = training.TrainConfig(**{**tcfg.to_dict(), **overrides})
-    return tcfg, mcfg
+    flags = {"learning_rate": args.lr, "batch_size": args.batch,
+             "max_steps": args.steps, "k": args.k,
+             "lambda_eff": args.lambda_eff}
+    overrides = {name: value for name, value in flags.items()
+                 if value is not None}
+    return (dataclasses.replace(tcfg, **overrides, n_rows=rows, n_cols=cols),
+            mcfg)
 
 
 def cmd_train(args) -> int:
     records, _ = read_expert_dataset(args.dataset)
     val_problems = read_problem_file(args.val_problems)
     rows, cols = _board_of([r.problem for r in records])
-    tcfg, mcfg = _train_configs(args)
-    tcfg = training.TrainConfig(**{**tcfg.to_dict(),
-                                   "n_rows": rows, "n_cols": cols})
+    tcfg, mcfg = _train_configs(args, rows, cols)
     ev = Evaluator(_sim_config(args.sim, rows, cols))
     t0 = time.time()
     result = training.train(records, tcfg, mcfg, ev, val_problems,
@@ -167,7 +159,8 @@ def cmd_eval(args) -> int:
 def greedy_sim_placement(problem: Problem, k_max: int,
                          evaluator: Evaluator) -> list:
     """One-step-lookahead placement: at each step add the feasible port that
-    maximizes J. Returns the incremental placement (length k_max)."""
+    maximizes J. Returns the incremental placement: k_max ports, or every
+    feasible port when there are fewer."""
     chosen = []
     for _ in range(k_max):
         feas = [a for a in problem.allowed_ports if a not in chosen]
@@ -181,7 +174,8 @@ def greedy_sim_placement(problem: Problem, k_max: int,
 def min_k_for_target(problem: Problem, target: float, k_max: int,
                      evaluator: Evaluator, policy=None) -> dict:
     """Smallest prefix length K of an incremental greedy placement with
-    J >= target, or a failure record at k_max."""
+    J >= target, or a failure record at the placement's length (k_max, or
+    fewer when the problem has fewer feasible ports)."""
     if k_max < 1:
         raise ContractViolation("K_max must be >= 1")
     if target <= 0.0:
@@ -198,7 +192,7 @@ def min_k_for_target(problem: Problem, target: float, k_max: int,
             return {"min_k": k, "achieved": j,
                     "placement": placement[:k], "met": True}
     j = evaluator.evaluate(problem, placement) if placement else 0.0
-    return {"min_k": k_max, "achieved": j, "placement": placement,
+    return {"min_k": len(placement), "achieved": j, "placement": placement,
             "met": False}
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .env import Problem, board_xy, encode_features
-from .errors import ContractViolation
+from .errors import ContractViolation, check_schema
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        if min(self.d_model, self.ff_dim, self.n_heads) < 1:
+            raise ContractViolation("d_model, ff_dim and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ContractViolation("n_heads must divide d_model")
         if self.ppe_mode not in ("norm", "delta-and-norm"):
@@ -53,9 +55,23 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        if set(d) != {f.name for f in fields(ModelConfig)}:
-            raise ContractViolation("model config keys do not match")
-        return ModelConfig(**d)
+        check_schema(d, MODEL_CONFIG_SCHEMA, "model config")
+        # the schema admits floats only as integral values of int fields
+        return ModelConfig(**{k: int(v) if isinstance(v, float) else v
+                              for k, v in d.items()})
+
+
+_FIELD_SCHEMAS = {"int": {"type": "integer", "minimum": 0},
+                  "bool": {"type": "boolean"}, "str": {"type": "string"}}
+
+# The model config as a checkpoint header stores it (ModelConfig.to_dict).
+MODEL_CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {f.name: _FIELD_SCHEMAS[f.type]
+                   for f in fields(ModelConfig)},
+    "required": [f.name for f in fields(ModelConfig)],
+    "additionalProperties": False,
+}
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -323,8 +339,17 @@ def save_policy(path, store: ad.ParamStore, cfg: ModelConfig, meta=None):
     ad.save_checkpoint(path, store, cfg.to_dict(), meta)
 
 
+def _shapes(store: ad.ParamStore) -> tuple:
+    return ({n: t.shape for n, t in store.params.items()},
+            {n: b.shape for n, b in store.buffers.items()})
+
+
 def load_policy(path):
-    """Returns (DevFormerPolicy, meta). Refuses tampered config hashes."""
+    """Returns (DevFormerPolicy, meta). Refuses tampered config hashes and
+    parameters or buffers other than those the config's model has."""
     store, cfg_dict, meta = ad.load_checkpoint(path)
     cfg = ModelConfig.from_dict(cfg_dict)
+    if _shapes(store) != _shapes(init_params(cfg)):
+        raise ContractViolation(
+            "checkpoint parameters do not match its model config")
     return DevFormerPolicy(store, cfg), meta

@@ -25,11 +25,12 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import autodiff as ad
+from . import pdn
 from . import policy as pol
 from .env import (Evaluator, Problem, gen_problem, gen_problem_set,
                   problem_space_size)
 from .errors import ContractViolation, NumericFailure
-from .search import ExpertRecord
+from .search import ExpertRecord, GaConfig, ga_solve
 
 TRAIN_LOG_COLUMNS = ("step", "train_nll", "self_loss", "val_J", "order_bias")
 
@@ -429,3 +430,48 @@ def make_validation_problems(tcfg: TrainConfig, seed: int,
                              exclude_hashes=()) -> list:
     return gen_problem_set(seed, tcfg.val_size, tcfg.n_rows, tcfg.n_cols,
                            tcfg.keepout_max, exclude_hashes)
+
+
+# --- directional experiment -------------------------------------------------------
+
+# arm -> (toy train-config overrides, toy model-config overrides)
+EXPERIMENT_ARMS = {
+    "cse": ({}, {}),
+    "il": ({"lambda_eff": 0.0}, {}),
+    "ablated": ({}, {"use_ppe": False, "use_pcn": False, "use_rcn": False}),
+}
+
+
+def directional_experiment(seeds, arms) -> dict:
+    """The symmetric-training (CSE) against imitation-only (IL) and full
+    against ablated comparison on the 5x5 toy setup: 50 GA-labelled
+    problems at K=4, 20 validation problems, and one toy-preset run of
+    800 steps, early stopping off, per arm and seed (arms run in the
+    given order within each seed).
+
+    Returns {(arm, seed): {"best_val", "final_j", "bias"}}: the best
+    validation J, the validation J of the final parameters (the last
+    validation round, which train() runs after its last step) and their
+    order bias over 512 draws.
+    """
+    arm_overrides = [(arm, EXPERIMENT_ARMS[arm]) for arm in arms]
+    ev = Evaluator(pdn.chip_only_config(5, 5))
+    probs = gen_problem_set(100, 50, 5, 5, 4)
+    records = [ga_solve(p, 4, GaConfig(seed=i), ev)
+               for i, p in enumerate(probs)]
+    val = make_validation_problems(toy_train_config(), 999,
+                                   {p.canonical_hash() for p in probs})
+    runs = {}
+    for seed in seeds:
+        for arm, (train_overrides, model_overrides) in arm_overrides:
+            tcfg = toy_train_config(seed=seed, patience=1000,
+                                    **train_overrides)
+            mcfg = pol.toy_config(init_seed=seed, **model_overrides)
+            res = train(records, tcfg, mcfg, ev, val)
+            policy = pol.DevFormerPolicy(res.final_store, mcfg)
+            runs[(arm, seed)] = {
+                "best_val": res.best_val,
+                "final_j": res.log_rows[-1]["val_J"],
+                "bias": order_bias_estimate(policy, val, 512, seed=42,
+                                            k=tcfg.k).value}
+    return runs

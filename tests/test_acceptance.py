@@ -257,41 +257,10 @@ def test_07_order_bias_estimator_correctness():
 
 @pytest.fixture(scope="module")
 def toy_experiment():
-    """Shared 5x5/K=4/N=50 corpus and per-seed training runs.
-
-    Arms: 'cse' (toy preset), 'il' (self-loss weight zero), 'ablated'
-    (toy preset without PPE/PCN/RCN). Equal step budgets everywhere.
-    """
-    ev = Evaluator(pdn.chip_only_config(5, 5))
-    probs = gen_problem_set(100, 50, 5, 5, 4)
-    records = [ga_solve(p, 4, GaConfig(seed=i), ev)
-               for i, p in enumerate(probs)]
-    val = tr.make_validation_problems(tr.toy_train_config(), 999,
-                                      {p.canonical_hash() for p in probs})
-
-    def run(seed, lambda_eff, model_kwargs, measure_bias):
-        tcfg = tr.toy_train_config(seed=seed, lambda_eff=lambda_eff,
-                                   patience=1000)
-        mcfg = pol.toy_config(init_seed=seed, **model_kwargs)
-        res = tr.train(records, tcfg, mcfg, ev, val)
-        out = {"best_val": res.best_val,
-               "final_j": tr.validate(res.final_store, mcfg, ev, val,
-                                      tcfg.k)}
-        if measure_bias:
-            policy = pol.DevFormerPolicy(res.final_store, mcfg)
-            out["bias"] = tr.order_bias_estimate(policy, val, 512,
-                                                 seed=42, k=tcfg.k).value
-        return out
-
-    runs = {}
-    default_lambda = tr.toy_train_config().lambda_eff
-    for seed in range(5):
-        runs[("cse", seed)] = run(seed, default_lambda, {}, True)
-        runs[("il", seed)] = run(seed, 0.0, {}, True)
-        runs[("ablated", seed)] = run(seed, default_lambda,
-                                      {"use_ppe": False, "use_pcn": False,
-                                       "use_rcn": False}, False)
-    return runs
+    """Per-seed runs of the 5x5/K=4/N=50 experiment. Arms: 'cse' (toy
+    preset), 'il' (self-loss weight zero), 'ablated' (toy preset without
+    PPE/PCN/RCN). Equal step budgets everywhere."""
+    return tr.directional_experiment(range(5), ("cse", "il", "ablated"))
 
 
 def test_08_cse_directional_effect(toy_experiment):

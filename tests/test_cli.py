@@ -129,6 +129,24 @@ def test_min_k_unreachable_target(workdir):
     assert all(not r["met"] and r["min_k"] == 2 for r in doc["results"])
 
 
+@pytest.mark.parametrize("method", ["greedy-sim", "policy"])
+def test_min_k_unmet_records_placement_length(workdir, checkpoint, tmp_path,
+                                              method):
+    # --k-max above the 3x3 boards' 6-7 feasible ports: the unmet record's
+    # min_k is the length of the placement it stores, not --k-max
+    out = tmp_path / "mink.json"
+    policy_args = ("--checkpoint", checkpoint) if method == "policy" else ()
+    code = run("min-k", "--problems", workdir / "test_problems.json",
+               "--target", 1e9, "--k-max", 30, *policy_args, "--out", out)
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["method"] == method
+    problems = read_problem_file(workdir / "test_problems.json")
+    for p, r in zip(problems, doc["results"]):
+        assert not r["met"]
+        assert r["min_k"] == len(r["placement"]) == len(p.allowed_ports) < 30
+
+
 def test_min_k_matches_exhaustive_oracle(eval3):
     from decapbench.env import gen_problem_set
     probs = gen_problem_set(7, 8, 3, 3, 3)
@@ -348,6 +366,17 @@ def _huge_first_shape(header):
     return header
 
 
+def _without_last_buffer(header):
+    header["buffers"].pop()
+    return header
+
+
+def _string_d_model(header):
+    header["config"]["d_model"] = "32"
+    header["config_hash"] = ad.config_hash(header["config"])
+    return header
+
+
 @pytest.mark.parametrize("damage", [
     lambda blob: blob[:len(blob) // 2],   # ends inside the parameters
     lambda blob: blob[:6],                # ends inside the length prefix
@@ -356,9 +385,12 @@ def _huge_first_shape(header):
     _edit_header(_without_params),
     _edit_header(lambda header: [header]),
     _edit_header(_negate_first_shape),
-    _edit_header(_huge_first_shape)],
+    _edit_header(_huge_first_shape),
+    _edit_header(_without_last_buffer),
+    _edit_header(_string_d_model)],
     ids=["half", "first-6-bytes", "huge-header-length", "extra-config-key",
-         "no-params", "list-header", "negative-shape", "huge-shape"])
+         "no-params", "list-header", "negative-shape", "huge-shape",
+         "missing-buffer", "string-d-model"])
 def test_exit_code_malformed_checkpoint(workdir, checkpoint, tmp_path,
                                         damage):
     bad = tmp_path / "bad.ckpt"
@@ -375,3 +407,91 @@ def test_greedy_sim_placement_feasible(eval3):
     placement = greedy_sim_placement(p, 3, eval3)
     validate_placement(p, placement)
     assert len(placement) == 3
+
+
+# --- fuzzed input files -------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _ints(-2, 6) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _edited(draw, doc):
+    """doc with one node replaced by a random JSON value or removed from
+    its container. Integers stay small, so no edit asks for a large
+    board."""
+    if isinstance(doc, (dict, list)) and doc and draw(_ints(0, 3)):
+        key = draw(st.sampled_from(list(doc) if isinstance(doc, dict)
+                                   else range(len(doc))))
+        doc = dict(doc) if isinstance(doc, dict) else list(doc)
+        if draw(_ints(0, 4)):
+            doc[key] = draw(_edited(doc[key]))
+        else:
+            del doc[key]
+        return doc
+    return draw(JSON_VALUES)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workdir, checkpoint):
+    """kind -> (a valid document; its file bytes given an edited copy and
+    whether to rehash a checkpoint config; a command reading the file F)."""
+    problems, report = workdir / "test_problems.json", workdir / "fz.json"
+    assert run("eval", "--checkpoint", checkpoint, "--problems", problems,
+               "--k", 2, "--out", report) == EXIT_OK
+    blob = checkpoint.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[4:12])
+
+    def checkpoint_bytes(doc, rehash):
+        if rehash and isinstance(doc, dict) and "config" in doc:
+            doc["config_hash"] = ad.config_hash(doc["config"])
+        text = json.dumps(doc).encode()
+        return blob[:4] + struct.pack("<Q", len(text)) + text \
+            + blob[12 + hlen:]
+
+    def jsonl(docs, _):
+        docs = docs if isinstance(docs, list) else [docs]
+        return "".join(json.dumps(d) + "\n" for d in docs).encode()
+
+    lines = (workdir / "expert_dataset.jsonl").read_text().splitlines()
+    return {
+        "problems": (json.loads(problems.read_text()), jsonl,
+                     ("min-k", "--problems", "F", "--target", 1e9,
+                      "--k-max", 2)),
+        "dataset": ([json.loads(line) for line in lines], jsonl,
+                    ("train", "--dataset", "F", "--val-problems", problems,
+                     "--preset", "toy", "--steps", 1, "--batch", 2, "--k", 2,
+                     "--out", workdir / "fz.ckpt")),
+        "report": (json.loads(report.read_text()), jsonl,
+                   ("report", "--report", "F", "--verify", "--max-plots", 1,
+                    "--out", workdir / "fz_plots")),
+        "checkpoint": (json.loads(blob[12:12 + hlen]), checkpoint_bytes,
+                       ("eval", "--checkpoint", "F", "--problems", problems,
+                        "--k", 2, "--out", workdir / "fz_eval.json")),
+    }
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(["problems", "dataset", "report",
+                                              "checkpoint"]),
+       rehash=st.booleans(), cut=st.none() | st.floats(0, 1))
+def test_fuzzed_input_files_exit_cleanly(fuzz_inputs, tmp_path, capsys,
+                                         run_with_timeout, data, kind,
+                                         rehash, cut):
+    # rehash: a checkpoint's config hash matches its edited config;
+    # cut: the file ends at this fraction of its bytes
+    doc, to_bytes, argv = fuzz_inputs[kind]
+    blob = to_bytes(data.draw(_edited(json.loads(json.dumps(doc)))), rehash)
+    bad = tmp_path / "fuzzed"
+    bad.write_bytes(blob if cut is None else blob[:int(len(blob) * cut)])
+    argv = [bad if a == "F" else a for a in argv]
+    codes = []
+    assert run_with_timeout(lambda: codes.append(run(*argv)), 30) is None
+    captured = capsys.readouterr()
+    assert codes[0] in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
+    assert "Traceback" not in captured.out + captured.err

@@ -21,10 +21,15 @@ def test_model_config_contracts():
         pol.ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ContractViolation):
         pol.ModelConfig(ppe_mode="bogus")
+    with pytest.raises(ContractViolation):
+        pol.ModelConfig(d_model=0, n_heads=4)
     d = CFG.to_dict()
     assert pol.ModelConfig.from_dict(d) == CFG
+    assert pol.ModelConfig.from_dict({**d, "d_model": 16.0}) == CFG
     for bad in ({**d, "extra": 1}, {k: v for k, v in d.items()
-                                    if k != "init_seed"}):
+                                    if k != "init_seed"},
+                {**d, "d_model": "16"}, {**d, "n_heads": 0},
+                {**d, "use_pcn": 1}):
         with pytest.raises(ContractViolation):
             pol.ModelConfig.from_dict(bad)
 

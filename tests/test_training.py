@@ -253,6 +253,27 @@ def test_train_nan_after_relu_reaches_non_finite_guard(eval3):
         tr.train(recs, tcfg, CFG, eval3, val, store=store)
 
 
+@pytest.mark.parametrize("max_steps, patience", [(7, 5), (40, 1)],
+                         ids=["max-steps", "patience"])
+def test_last_log_row_validates_final_store(eval3, max_steps, patience):
+    # directional_experiment reads final_j from the last log row instead of
+    # validating the final parameters again
+    recs, probs = _tiny_dataset(eval3, n=4)
+    hashes = {p.canonical_hash() for p in probs}
+    val = gen_problem_set(80, 3, 3, 3, 2, exclude_hashes=hashes)
+    tcfg = tr.TrainConfig(learning_rate=5e-2, batch_size=4, permutations=1,
+                          lambda_eff=10.0, k=2, val_size=3,
+                          max_steps=max_steps, val_interval=3,
+                          patience=patience, n_rows=3, n_cols=3,
+                          keepout_max=2, self_batch=2, seed=2)
+    res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=4)
+    stopped_early = res.steps_run < max_steps
+    assert stopped_early == (patience == 1)
+    assert res.log_rows[-1]["step"] == res.steps_run
+    assert res.log_rows[-1]["val_J"] == tr.validate(res.final_store, CFG,
+                                                    eval3, val, tcfg.k)
+
+
 def test_train_rejects_val_overlap(eval3):
     recs, probs = _tiny_dataset(eval3, n=3)
     tcfg = tr.TrainConfig(n_rows=3, n_cols=3, k=2, max_steps=1,
