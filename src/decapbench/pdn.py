@@ -5,7 +5,10 @@ cell is one electrical node with a shunt G + jwC to ground; orthogonally
 adjacent cells of the same layer are joined by a series R + jwL branch.
 Chip nodes connect to their nearest package node (centered alignment)
 through a via branch; a zero via inductance is an ideal short and the two
-nodes are merged.
+nodes are merged. The package (a uniform grid, so its Laplacian has
+closed-form cosine modes) is Kron-reduced exactly onto the package nodes
+under the chip, and each frequency's sparse solve sees only chip-side
+nodes; a package cell must therefore have a shunt (G or C nonzero).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ TWO_PI = 2.0 * np.pi
 
 # Residual bound for declaring a nodal solve failed.
 SOLVE_RESIDUAL_TOL = 1e-9
+# Bound on ||Z0 Y_fp - I|| (Frobenius) for the package block's inverse.
+BLOCK_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,9 @@ class StackSpec:
             pkg_h = self.package.n_rows * self.package.cell.width_meter
             if pkg_w < chip_w or pkg_h < chip_h:
                 raise ContractViolation("package extent must cover the chip")
+            cell = self.package.cell
+            if cell.conductance_siemens == 0 and cell.capacitance_farad == 0:
+                raise ContractViolation("package cell needs a shunt: G and C both zero")
 
 
 @dataclass(frozen=True)
@@ -179,69 +187,87 @@ def chip_to_package_map(spec: StackSpec) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def _path_modes(n: int):
+    """Eigenpairs of the Laplacian of an n-node path with free ends.
+
+    Returns mu (n,) with mu_k = 2 - 2 cos(pi k / n), written as
+    4 sin^2(pi k / 2n) to keep the small ones accurate, and the orthonormal
+    eigenvectors as the columns of u (n, n), u[j, k] ∝ cos(pi k (j + 1/2) / n).
+    """
+    k = np.arange(n)
+    mu = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+    u = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
+    u[:, 0] = np.sqrt(1.0 / n)
+    return mu, u
+
+
+def _grid_branches(grid: GridSpec):
+    """(a, b) cell pairs of a grid's series branches, row-major order."""
+    out = []
+    for r in range(grid.n_rows):
+        for c in range(grid.n_cols):
+            i = r * grid.n_cols + c
+            if c + 1 < grid.n_cols:
+                out.append((i, i + 1))
+            if r + 1 < grid.n_rows:
+                out.append((i, i + grid.n_cols))
+    return out
+
+
 class StackTopology:
     """Frequency-independent structure of the nodal admittance matrix.
 
     Built once per stack; admittance values are stamped per frequency.
-    Zero-inductance vias merge chip and package nodes.
+    A chip-only stack keeps one node per chip cell. A package is eliminated
+    exactly onto its footprint, the package rows x columns that the chip
+    cells' vias land on: footprint nodes are numbered row-major, after the
+    chip nodes when the via has inductance, and as the chip nodes
+    themselves when the via is ideal (chip cells on one package node share
+    it). The package enters each frequency's matrix as one dense block,
+    the Kron reduction of its uniform grid onto the footprint, built from
+    the grid Laplacian's closed-form cosine modes.
     """
 
     def __init__(self, spec: StackSpec):
         self.spec = spec
         chip = spec.chip
         n_chip = chip.n_cells
-        n_pkg = spec.package.n_cells if spec.package is not None else 0
-        n_raw = n_chip + n_pkg
-
-        parent = np.arange(n_raw)
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        node_of = np.arange(n_chip)
+        self.n_nodes = n_chip
         via_branches = []
+        fp = np.zeros(0, dtype=np.int64)  # footprint nodes, row-major
         if spec.package is not None:
+            pkg = spec.package
             pkg_of = chip_to_package_map(spec)
+            fp_rows, row_of = np.unique(pkg_of // pkg.n_cols, return_inverse=True)
+            fp_cols, col_of = np.unique(pkg_of % pkg.n_cols, return_inverse=True)
+            fp_of = row_of * len(fp_cols) + col_of
+            n_fp = len(fp_rows) * len(fp_cols)
             if spec.via_inductance_henry == 0.0:
-                for i in range(n_chip):
-                    a, b = find(i), find(n_chip + pkg_of[i])
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
+                node_of, self.n_nodes, fp = fp_of, n_fp, np.arange(n_fp)
             else:
-                via_branches = [(i, n_chip + int(pkg_of[i])) for i in range(n_chip)]
+                self.n_nodes = n_chip + n_fp
+                fp = n_chip + np.arange(n_fp)
+                via_branches = [(i, n_chip + int(fp_of[i])) for i in range(n_chip)]
+            # Z_pkg = sum over modes (k, l) of (u_k u_k^T) (x) (v_l v_l^T) * D[k, l]
+            # with D[k, l] = 1 / (y_p (mu_k + nu_l) + s_p); on the footprint
+            # its ((r, c), (r', c')) entry is pr[(r, r'), :] @ D @ pc[:, (c, c')].
+            mu_r, u_r = _path_modes(pkg.n_rows)
+            mu_c, u_c = _path_modes(pkg.n_cols)
+            self._mu = mu_r[:, None] + mu_c[None, :]
+            ur, uc = u_r[fp_rows], u_c[fp_cols]
+            self._pr = (ur[:, None, :] * ur[None, :, :]).reshape(-1, pkg.n_rows)
+            self._pc = (uc[:, None, :] * uc[None, :, :]).reshape(-1, pkg.n_cols).T
+            self._fp_shape = (len(fp_rows), len(fp_cols))
+        self.chip_port_nodes = node_of
 
-        reps = np.array([find(i) for i in range(n_raw)])
-        uniq, node_of = np.unique(reps, return_inverse=True)
-        self.n_nodes = len(uniq)
-        self.chip_port_nodes = node_of[:n_chip].copy()
-
-        def grid_branches(grid, base):
-            out = []
-            for r in range(grid.n_rows):
-                for c in range(grid.n_cols):
-                    i = base + r * grid.n_cols + c
-                    if c + 1 < grid.n_cols:
-                        out.append((i, i + 1))
-                    if r + 1 < grid.n_rows:
-                        out.append((i, i + grid.n_cols))
-            return out
-
-        # Series branches: (node_a, node_b, R, L); parallel duplicates may
-        # appear after merges and simply stamp twice.
-        branches = []
-        for a, b in grid_branches(chip, 0):
-            branches.append((node_of[a], node_of[b],
-                             chip.cell.resistance_ohm, chip.cell.inductance_henry))
-        if spec.package is not None:
-            for a, b in grid_branches(spec.package, n_chip):
-                branches.append((node_of[a], node_of[b],
-                                 spec.package.cell.resistance_ohm,
-                                 spec.package.cell.inductance_henry))
-            for a, b in via_branches:
-                branches.append((node_of[a], node_of[b],
-                                 0.0, spec.via_inductance_henry))
+        # Series branches: (node_a, node_b, R, L); chip branches inside one
+        # footprint node under an ideal via carry no current and are dropped.
+        branches = [(node_of[a], node_of[b], chip.cell.resistance_ohm,
+                     chip.cell.inductance_henry)
+                    for a, b in _grid_branches(chip)]
+        branches += [(a, b, 0.0, spec.via_inductance_henry)
+                     for a, b in via_branches]
         branches = [(a, b, r, l) for (a, b, r, l) in branches if a != b]
 
         self._br_a = np.array([b[0] for b in branches], dtype=np.int64)
@@ -249,19 +275,37 @@ class StackTopology:
         self._br_r = np.array([b[2] for b in branches], dtype=np.float64)
         self._br_l = np.array([b[3] for b in branches], dtype=np.float64)
 
-        # Shunt G and C accumulated per merged node.
+        # Chip shunt G and C accumulated per node.
         self._sh_g = np.zeros(self.n_nodes)
         self._sh_c = np.zeros(self.n_nodes)
-        np.add.at(self._sh_g, node_of[:n_chip], chip.cell.conductance_siemens)
-        np.add.at(self._sh_c, node_of[:n_chip], chip.cell.capacitance_farad)
-        if spec.package is not None:
-            np.add.at(self._sh_g, node_of[n_chip:], spec.package.cell.conductance_siemens)
-            np.add.at(self._sh_c, node_of[n_chip:], spec.package.cell.capacitance_farad)
+        np.add.at(self._sh_g, node_of, chip.cell.conductance_siemens)
+        np.add.at(self._sh_c, node_of, chip.cell.capacitance_farad)
 
         a, b = self._br_a, self._br_b
         nodes = np.arange(self.n_nodes)
-        self._rows = np.concatenate([a, b, a, b, nodes])
-        self._cols = np.concatenate([a, b, b, a, nodes])
+        self._rows = np.concatenate([a, b, a, b, nodes, np.repeat(fp, len(fp))])
+        self._cols = np.concatenate([a, b, b, a, nodes, np.tile(fp, len(fp))])
+
+    def _package_block(self, f_hz: float) -> np.ndarray:
+        """Admittance the package presents at its footprint nodes: the
+        inverse of the footprint block of the package grid's impedance
+        matrix, residual-checked (NumericFailure without a frequency index;
+        the sweep adds it)."""
+        cell = self.spec.package.cell
+        w = TWO_PI * f_hz
+        y_p = 1.0 / (cell.resistance_ohm + 1j * w * cell.inductance_henry)
+        s_p = cell.conductance_siemens + 1j * w * cell.capacitance_farad
+        a, b = self._fp_shape
+        z0 = self._pr @ (1.0 / (y_p * self._mu + s_p)) @ self._pc
+        z0 = z0.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+        try:
+            y_fp = np.linalg.inv(z0)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(f"singular package block at {f_hz:g} Hz") from exc
+        resid = np.linalg.norm(z0 @ y_fp - np.eye(a * b))
+        if not np.isfinite(resid) or resid > BLOCK_RESIDUAL_TOL:
+            raise NumericFailure(f"package block inverse failed at {f_hz:g} Hz")
+        return y_fp
 
     def admittance(self, f_hz: float) -> sp.csc_matrix:
         if f_hz <= 0:
@@ -269,8 +313,10 @@ class StackTopology:
         w = TWO_PI * f_hz
         y_br = 1.0 / (self._br_r + 1j * w * self._br_l)
         y_sh = self._sh_g + 1j * w * self._sh_c
-        vals = np.concatenate([y_br, y_br, -y_br, -y_br, y_sh])
-        y = sp.coo_matrix((vals, (self._rows, self._cols)),
+        parts = [y_br, y_br, -y_br, -y_br, y_sh]
+        if self.spec.package is not None:
+            parts.append(self._package_block(f_hz).ravel())
+        y = sp.coo_matrix((np.concatenate(parts), (self._rows, self._cols)),
                           shape=(self.n_nodes, self.n_nodes))
         return y.tocsc()
 
@@ -324,7 +370,10 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     rhs = np.zeros((n, nd), dtype=np.complex128)
     rhs[nodes, np.arange(nd)] = 1.0
     for k, f in enumerate(freqs):
-        y = topo.admittance(f)
+        try:
+            y = topo.admittance(f)
+        except NumericFailure as exc:
+            raise NumericFailure(str(exc), k) from exc
         try:
             lu = splu(y)
             v = lu.solve(rhs)

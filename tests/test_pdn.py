@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
@@ -448,6 +449,146 @@ def test_package_stack_reciprocal_passive_and_permutation_invariant(
     assert np.allclose(per_node,
                        per_port_attach_decaps(sweep, probe, ports, decap),
                        rtol=1e-12, atol=0)
+
+
+# --- package larger than the chip: Kron reduction onto the footprint --------
+
+def wide_package_stack(via_l, chip_rows=2, chip_cols=3):
+    """A chip centred on a 5x6 package (2.5 x 3 mm) whose footprint leaves
+    most package cells out, so they are eliminated: a 2x3 chip lands on
+    1x2 package rows x columns, a 3x4 chip on 3x2."""
+    return pdn.StackSpec(chip=pdn.GridSpec(chip_rows, chip_cols, pdn.CHIP_CELL),
+                         package=pdn.GridSpec(5, 6, pdn.PACKAGE_CELL),
+                         via_inductance_henry=via_l)
+
+
+def footprint_cells(spec):
+    """Package cells of the footprint rows x columns, row-major."""
+    pkg_of = pdn.chip_to_package_map(spec)
+    rows = np.unique(pkg_of // spec.package.n_cols)
+    cols = np.unique(pkg_of % spec.package.n_cols)
+    return [r * spec.package.n_cols + c for r in rows for c in cols]
+
+
+@pytest.mark.parametrize("chip_rows, chip_cols", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("via_l", [0.0, 20e-12])
+def test_wide_package_sweep_matches_dense_oracle(via_l, chip_rows, chip_cols):
+    spec = wide_package_stack(via_l, chip_rows, chip_cols)
+    n = spec.chip.n_cells
+    assert pdn.StackTopology(spec).n_nodes < spec.package.n_cells
+    grid = pdn.make_freq_grid(5, 2e8, 2e10)
+    sweep = pdn.solve_z_ports(spec, range(n), grid)
+    for k, f in enumerate(grid.points):
+        y, chip_node = oracle_admittance_stack(spec, f)
+        z_dense = np.linalg.inv(y)
+        for i in range(n):
+            for j in range(n):
+                fast = sweep.z[k, sweep.port_index(i), sweep.port_index(j)]
+                slow = z_dense[chip_node[i], chip_node[j]]
+                assert fast == pytest.approx(slow, rel=1e-9)
+
+
+def test_paper_stack_sweep_matches_full_sparse_lu():
+    # The oracle's 1,600-node admittance, factored whole, at the first and
+    # the last frequency of the default grid.
+    cfg = pdn.paper_scale_config()
+    points = cfg.grid.points
+    sweep = pdn.solve_z_ports(cfg.stack, range(100),
+                              pdn.FreqGrid((points[0], points[-1])))
+    rows = [sweep.port_index(p) for p in range(100)]
+    for k, f in enumerate((points[0], points[-1])):
+        y, chip_node = oracle_admittance_stack(cfg.stack, f)
+        nodes = sorted(set(chip_node))
+        rhs = np.zeros((len(y), len(nodes)), dtype=complex)
+        rhs[nodes, np.arange(len(nodes))] = 1.0
+        z_full = splu(sp.csc_matrix(y)).solve(rhs)[nodes, :]
+        at = [nodes.index(n) for n in chip_node]
+        fast = sweep.z[k][np.ix_(rows, rows)]
+        slow = z_full[np.ix_(at, at)]
+        assert np.all(np.abs(fast - slow) <= 1e-10 * np.abs(slow))
+
+
+def test_path_modes_diagonalise_the_path_laplacian():
+    for n in range(1, 42):
+        mu, u = pdn._path_modes(n)
+        lap = (np.diag(np.r_[1.0, 2.0 * np.ones(n - 2), 1.0]) if n > 1
+               else np.zeros((1, 1)))
+        lap -= np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        assert np.allclose(u.T @ u, np.eye(n), rtol=0, atol=1e-12)
+        assert np.allclose(u.T @ lap @ u, np.diag(mu), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("f", [2e8, 3.3e9, 2e10])
+def test_package_block_is_the_schur_complement_onto_the_footprint(f):
+    spec = wide_package_stack(20e-12, 3, 4)
+    pkg = spec.package
+    y = oracle_admittance_chip_only(pkg.n_rows, pkg.n_cols, pkg.cell, f)
+    keep = footprint_cells(spec)
+    drop = [i for i in range(pkg.n_cells) if i not in keep]
+    schur = (y[np.ix_(keep, keep)] - y[np.ix_(keep, drop)]
+             @ np.linalg.solve(y[np.ix_(drop, drop)], y[np.ix_(drop, keep)]))
+    block = pdn.StackTopology(spec)._package_block(f)
+    assert np.allclose(block, schur, rtol=0, atol=1e-9 * np.abs(schur).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(chip_rows=st.integers(1, 4), chip_cols=st.integers(1, 4),
+       extra_rows=st.integers(0, 2), extra_cols=st.integers(0, 2),
+       via_l=st.sampled_from([0.0, 5e-12, 50e-12]))
+def test_footprint_is_a_row_by_column_product(chip_rows, chip_cols,
+                                              extra_rows, extra_cols, via_l):
+    # The stacks of the reciprocity test above: every package node a via
+    # lands on is kept, and nothing else, so the reduction keeps no more
+    # nodes than the footprint has.
+    spec = pdn.StackSpec(
+        chip=pdn.GridSpec(chip_rows, chip_cols, pdn.CHIP_CELL),
+        package=pdn.GridSpec(math.ceil(0.6 * chip_rows) + extra_rows,
+                             math.ceil(0.6 * chip_cols) + extra_cols,
+                             pdn.PACKAGE_CELL),
+        via_inductance_henry=via_l)
+    landed = set(pdn.chip_to_package_map(spec).tolist())
+    assert landed == set(footprint_cells(spec))
+    topo = pdn.StackTopology(spec)
+    n_chip = spec.chip.n_cells if via_l > 0 else 0
+    assert topo.n_nodes == n_chip + len(landed)
+
+
+@pytest.mark.parametrize("bound, spec, match", [
+    ("SOLVE_RESIDUAL_TOL", pdn.chip_only_config(3, 3).stack, "nodal solve"),
+    ("SOLVE_RESIDUAL_TOL", wide_package_stack(0.0), "nodal solve"),
+    ("SOLVE_RESIDUAL_TOL", wide_package_stack(20e-12), "nodal solve"),
+    ("BLOCK_RESIDUAL_TOL", wide_package_stack(0.0), "package block"),
+    ("BLOCK_RESIDUAL_TOL", wide_package_stack(20e-12), "package block"),
+    ("BLOCK_RESIDUAL_TOL", pdn.chip_only_config(3, 3).stack, None),
+])
+def test_residual_checks_raise_with_frequency_index(monkeypatch, bound, spec,
+                                                    match):
+    # A negative bound fails every residual, so the check must fire at the
+    # first frequency; a chip-only stack has no package block to check.
+    grid = pdn.make_freq_grid(3, 2e8, 2e10)
+    ports = range(spec.chip.n_cells)
+    expected = pdn.solve_z_ports(spec, ports, grid).z
+    monkeypatch.setattr(pdn, bound, -1.0)
+    if match is None:
+        assert np.array_equal(pdn.solve_z_ports(spec, ports, grid).z, expected)
+        return
+    with pytest.raises(NumericFailure, match=match) as info:
+        pdn.solve_z_ports(spec, ports, grid)
+    assert info.value.frequency_index == 0
+
+
+def test_package_cell_without_shunt_rejected():
+    no_shunt = pdn.UnitCellParams(0.093, 0.25e-9, 0.0, 0.0, 0.5e-3)
+    with pytest.raises(ContractViolation, match="shunt"):
+        pdn.StackSpec(chip=pdn.GridSpec(2, 2, pdn.CHIP_CELL),
+                      package=pdn.GridSpec(3, 3, no_shunt))
+    for g, c in ((5.4e-6, 0.0), (0.0, 0.045e-12)):
+        spec = pdn.StackSpec(
+            chip=pdn.GridSpec(2, 2, pdn.CHIP_CELL),
+            package=pdn.GridSpec(3, 3, pdn.UnitCellParams(
+                0.093, 0.25e-9, g, c, 0.5e-3)))
+        z = pdn.solve_z_ports(spec, range(4), pdn.make_freq_grid(3, 2e8, 2e10)).z
+        assert np.all(np.isfinite(z))
 
 
 # --- physical properties ----------------------------------------------------------
