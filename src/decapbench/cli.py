@@ -1,7 +1,8 @@
 """Command-line surface: dataset generation, training, evaluation, min-K
 search, search baselines, and report rendering.
 
-Exit codes: 0 success, 2 contract violation, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 contract violation (including an input too large
+for memory), 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -300,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="problem-level parallelism; results are "
-                            "independent of this value")
+                       help="threads eval scores problems on (the other "
+                            "commands use one); results do not depend on "
+                            "this value")
         p.add_argument("--sim", choices=("chip", "paper"), default="chip")
 
     g = sub.add_parser("gen", help="generate problem splits and expert labels")
@@ -383,6 +385,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except MemoryError as exc:
+        print(f"contract violation: input too large for memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONTRACT
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -3,12 +3,12 @@
 The stack is a chip grid optionally sitting on a package grid. Each grid
 cell is one electrical node with a shunt G + jwC to ground; orthogonally
 adjacent cells of the same layer are joined by a series R + jwL branch.
-Chip nodes connect to their nearest package node (centered alignment)
-through a via branch; a zero via inductance is an ideal short and the two
-nodes are merged. The package (a uniform grid, so its Laplacian has
-closed-form cosine modes) is Kron-reduced exactly onto the package nodes
-under the chip, and each frequency's sparse solve sees only chip-side
-nodes; a package cell must therefore have a shunt (G or C nonzero).
+Each chip cell is shorted to its nearest package cell (centered
+alignment), so chip cells on one package cell share that node. The
+package (a uniform grid, so its Laplacian has closed-form cosine modes) is
+Kron-reduced exactly onto the package nodes under the chip, and each
+frequency's sparse solve sees only those nodes; a package cell must
+therefore have a shunt (G or C nonzero).
 """
 
 from __future__ import annotations
@@ -83,11 +83,8 @@ class GridSpec:
 class StackSpec:
     chip: GridSpec
     package: GridSpec | None = None
-    via_inductance_henry: float = 0.0
 
     def __post_init__(self):
-        if self.via_inductance_henry < 0:
-            raise ContractViolation("via inductance must be >= 0")
         if self.package is not None:
             chip_w = self.chip.n_cols * self.chip.cell.width_meter
             chip_h = self.chip.n_rows * self.chip.cell.width_meter
@@ -201,8 +198,9 @@ def _path_modes(n: int):
     return mu, u
 
 
-def _grid_branches(grid: GridSpec):
-    """(a, b) cell pairs of a grid's series branches, row-major order."""
+def _grid_branches(grid: GridSpec) -> np.ndarray:
+    """(a, b) cell pairs of a grid's series branches, row-major order,
+    as an (n_branches, 2) array."""
     out = []
     for r in range(grid.n_rows):
         for c in range(grid.n_cols):
@@ -211,7 +209,7 @@ def _grid_branches(grid: GridSpec):
                 out.append((i, i + 1))
             if r + 1 < grid.n_rows:
                 out.append((i, i + grid.n_cols))
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 class StackTopology:
@@ -220,35 +218,27 @@ class StackTopology:
     Built once per stack; admittance values are stamped per frequency.
     A chip-only stack keeps one node per chip cell. A package is eliminated
     exactly onto its footprint, the package rows x columns that the chip
-    cells' vias land on: footprint nodes are numbered row-major, after the
-    chip nodes when the via has inductance, and as the chip nodes
-    themselves when the via is ideal (chip cells on one package node share
-    it). The package enters each frequency's matrix as one dense block,
-    the Kron reduction of its uniform grid onto the footprint, built from
-    the grid Laplacian's closed-form cosine modes.
+    cells sit on: the footprint nodes, numbered row-major, are the stack's
+    nodes, and chip cells on one package node share it. The package enters
+    each frequency's matrix as one dense block, the Kron reduction of its
+    uniform grid onto the footprint, built from the grid Laplacian's
+    closed-form cosine modes.
     """
 
     def __init__(self, spec: StackSpec):
         self.spec = spec
         chip = spec.chip
-        n_chip = chip.n_cells
-        node_of = np.arange(n_chip)
-        self.n_nodes = n_chip
-        via_branches = []
+        node_of = np.arange(chip.n_cells)
+        self.n_nodes = chip.n_cells
         fp = np.zeros(0, dtype=np.int64)  # footprint nodes, row-major
         if spec.package is not None:
             pkg = spec.package
             pkg_of = chip_to_package_map(spec)
             fp_rows, row_of = np.unique(pkg_of // pkg.n_cols, return_inverse=True)
             fp_cols, col_of = np.unique(pkg_of % pkg.n_cols, return_inverse=True)
-            fp_of = row_of * len(fp_cols) + col_of
-            n_fp = len(fp_rows) * len(fp_cols)
-            if spec.via_inductance_henry == 0.0:
-                node_of, self.n_nodes, fp = fp_of, n_fp, np.arange(n_fp)
-            else:
-                self.n_nodes = n_chip + n_fp
-                fp = n_chip + np.arange(n_fp)
-                via_branches = [(i, n_chip + int(fp_of[i])) for i in range(n_chip)]
+            node_of = row_of * len(fp_cols) + col_of
+            self.n_nodes = len(fp_rows) * len(fp_cols)
+            fp = np.arange(self.n_nodes)
             # Z_pkg = sum over modes (k, l) of (u_k u_k^T) (x) (v_l v_l^T) * D[k, l]
             # with D[k, l] = 1 / (y_p (mu_k + nu_l) + s_p); on the footprint
             # its ((r, c), (r', c')) entry is pr[(r, r'), :] @ D @ pc[:, (c, c')].
@@ -261,19 +251,10 @@ class StackTopology:
             self._fp_shape = (len(fp_rows), len(fp_cols))
         self.chip_port_nodes = node_of
 
-        # Series branches: (node_a, node_b, R, L); chip branches inside one
-        # footprint node under an ideal via carry no current and are dropped.
-        branches = [(node_of[a], node_of[b], chip.cell.resistance_ohm,
-                     chip.cell.inductance_henry)
-                    for a, b in _grid_branches(chip)]
-        branches += [(a, b, 0.0, spec.via_inductance_henry)
-                     for a, b in via_branches]
-        branches = [(a, b, r, l) for (a, b, r, l) in branches if a != b]
-
-        self._br_a = np.array([b[0] for b in branches], dtype=np.int64)
-        self._br_b = np.array([b[1] for b in branches], dtype=np.int64)
-        self._br_r = np.array([b[2] for b in branches], dtype=np.float64)
-        self._br_l = np.array([b[3] for b in branches], dtype=np.float64)
+        # Series branches as node pairs; chip branches inside one package
+        # node carry no current and are dropped.
+        pairs = node_of[_grid_branches(chip)]
+        self._br_a, self._br_b = pairs[pairs[:, 0] != pairs[:, 1]].T
 
         # Chip shunt G and C accumulated per node.
         self._sh_g = np.zeros(self.n_nodes)
@@ -311,7 +292,11 @@ class StackTopology:
         if f_hz <= 0:
             raise ContractViolation("frequency must be positive")
         w = TWO_PI * f_hz
-        y_br = 1.0 / (self._br_r + 1j * w * self._br_l)
+        cell = self.spec.chip.cell
+        # Every branch is a chip branch: one admittance, divided by numpy
+        # (whose complex division rounds unlike Python's) and repeated.
+        z_br = np.array([cell.resistance_ohm]) + 1j * w * cell.inductance_henry
+        y_br = np.repeat(1.0 / z_br, len(self._br_a))
         y_sh = self._sh_g + 1j * w * self._sh_c
         parts = [y_br, y_br, -y_br, -y_br, y_sh]
         if self.spec.package is not None:
@@ -326,9 +311,9 @@ class FrequencySweepZ:
     """Port impedance matrices over a frequency grid.
 
     ports are chip cell indices. Ports that share a network node (chip
-    cells merged into one package node by an ideal via) share one row and
-    column: z has shape (n_freq, n_nodes, n_nodes) over the distinct port
-    nodes in order of first appearance, and ports[i] reads row port_rows[i].
+    cells on one package node) share one row and column: z has shape
+    (n_freq, n_nodes, n_nodes) over the distinct port nodes in order of
+    first appearance, and ports[i] reads row port_rows[i].
     When every port is its own node, z is (n_freq, n_ports, n_ports).
     """
     ports: tuple

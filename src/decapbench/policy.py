@@ -2,7 +2,7 @@
 
 Encoder: per-port linear node embedding plus a probe-relative positional
 embedding, followed by L blocks of multi-head attention and feed-forward,
-each batch-normalized (residual additions optional). Decoder: a context
+each added to its input and batch-normalized. Decoder: a context
 query built from the probe embedding and the previously selected port's
 embedding, one attention layer, and pointer-style per-port logits, so the
 same checkpoint runs on any board size and any placement length.
@@ -35,11 +35,9 @@ class ModelConfig:
     d_model: int = 128
     ff_dim: int = 512
     n_heads: int = 8
-    ppe_mode: str = "norm"  # "norm" or "delta-and-norm"
     use_ppe: bool = True
     use_pcn: bool = True
     use_rcn: bool = True
-    residual: bool = True
     init_seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +45,6 @@ class ModelConfig:
             raise ContractViolation("d_model, ff_dim and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ContractViolation("n_heads must divide d_model")
-        if self.ppe_mode not in ("norm", "delta-and-norm"):
-            raise ContractViolation("unknown ppe_mode")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -62,7 +58,7 @@ class ModelConfig:
 
 
 _FIELD_SCHEMAS = {"int": {"type": "integer", "minimum": 0},
-                  "bool": {"type": "boolean"}, "str": {"type": "string"}}
+                  "bool": {"type": "boolean"}}
 
 # The model config as a checkpoint header stores it (ModelConfig.to_dict).
 MODEL_CONFIG_SCHEMA = {
@@ -80,14 +76,12 @@ def toy_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def ppe_features(problem: Problem, mode: str = "norm") -> np.ndarray:
-    """Per-port position relative to the probe, in normalized coordinates."""
+def ppe_features(problem: Problem) -> np.ndarray:
+    """(n_ports, 1) distance of each port to the probe, in normalized
+    coordinates."""
     xy = board_xy(problem.n_rows, problem.n_cols)
     delta = xy - xy[problem.probe]
-    norm = np.sqrt((delta ** 2).sum(axis=1, keepdims=True))
-    if mode == "norm":
-        return norm
-    return np.concatenate([delta, norm], axis=1)
+    return np.sqrt((delta ** 2).sum(axis=1, keepdims=True))
 
 
 def init_params(cfg: ModelConfig) -> ad.ParamStore:
@@ -102,7 +96,7 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
 
     lin("node", 5, d)
     if cfg.use_ppe:
-        lin("ppe", 1 if cfg.ppe_mode == "norm" else 3, d)
+        lin("ppe", 1, d)
     for layer in range(cfg.n_layers):
         pre = f"enc{layer}"
         for name in ("wq", "wk", "wv", "wo"):
@@ -128,18 +122,13 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
     return store
 
 
-def _batch_inputs(problems, cfg: ModelConfig):
-    feats = np.stack([encode_features(p) for p in problems])
-    ppe = np.stack([ppe_features(p, cfg.ppe_mode) for p in problems])
-    return feats, ppe
-
-
 def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
            training: bool = False, update_running: bool = True) -> ad.Tensor:
     """Per-port embeddings, shape (B, N, d). Problems must share a board."""
     if len({(p.n_rows, p.n_cols) for p in problems}) != 1:
         raise ContractViolation("batch must share one board size")
-    feats, ppe = _batch_inputs(problems, cfg)
+    feats = np.stack([encode_features(p) for p in problems])
+    ppe = np.stack([ppe_features(p) for p in problems])
     h = ad.linear(ad.Tensor(feats), store["node.w"], store["node.b"])
     if cfg.use_ppe:
         h = h + ad.linear(ad.Tensor(ppe), store["ppe.w"], store["ppe.b"])
@@ -147,12 +136,12 @@ def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
         pre = f"enc{layer}"
         a = ad.mha(h, h, h, store[f"{pre}.wq"], store[f"{pre}.wk"],
                    store[f"{pre}.wv"], store[f"{pre}.wo"], cfg.n_heads)
-        h = ad.batch_norm(h + a if cfg.residual else a,
+        h = ad.batch_norm(h + a,
                           store[f"{pre}.bn1.gamma"], store[f"{pre}.bn1.beta"],
                           store.buffers, f"{pre}.bn1", training,
                           update_running=update_running)
         f = _mlp(h, store, f"{pre}.ff1", f"{pre}.ff2")
-        h = ad.batch_norm(h + f if cfg.residual else f,
+        h = ad.batch_norm(h + f,
                           store[f"{pre}.bn2.gamma"], store[f"{pre}.bn2.beta"],
                           store.buffers, f"{pre}.bn2", training,
                           update_running=update_running)

@@ -2,7 +2,8 @@
 SVG plots (impedance curves and placement heatmaps).
 
 Every score stored in a BenchReport carries the placements it came from, so
-verify() can re-derive each number by re-simulation.
+verify() can re-derive each number by re-simulation; a row's mean and std
+are derived from its scores and checked against the stored ones on load.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ REPORT_SCHEMA = {
     "type": "object",
     "properties": {
         "schema_version": {"const": REPORT_SCHEMA_VERSION},
-        "problems": {"type": "array", "items": PROBLEM_SCHEMA},
+        "problems": {"type": "array", "items": PROBLEM_SCHEMA,
+                     "minItems": 1},
         "rows": {"type": "array", "items": {
             "type": "object",
             "properties": {
@@ -54,10 +56,17 @@ class MethodRow:
     method: str
     budget: int            # simulator calls per problem (M); 1 for greedy
     k: int
-    mean_score: float
-    std_score: float       # over problems
     placements: list       # one placement per problem, aligned with problems
     scores: list
+
+    @property
+    def mean_score(self) -> float:
+        return float(np.mean(self.scores))
+
+    @property
+    def std_score(self) -> float:
+        """Over problems."""
+        return float(np.std(self.scores))
 
     def to_dict(self) -> dict:
         return {"method": self.method, "budget": self.budget, "k": self.k,
@@ -67,9 +76,18 @@ class MethodRow:
 
     @staticmethod
     def from_dict(d: dict) -> "MethodRow":
-        return MethodRow(d["method"], d["budget"], d["k"], d["mean_score"],
-                         d["std_score"], [tuple(p) for p in d["placements"]],
-                         list(d["scores"]))
+        row = MethodRow(d["method"], d["budget"], d["k"],
+                        [tuple(p) for p in d["placements"]], list(d["scores"]))
+        if any(len(p) != row.k for p in row.placements):
+            raise ContractViolation(
+                f"bad report: a placement of {row.method} is not K={row.k} "
+                f"ports long")
+        if (d["mean_score"], d["std_score"]) != (row.mean_score,
+                                                 row.std_score):
+            raise ContractViolation(
+                f"bad report: stored mean or std of {row.method} does not "
+                f"re-derive from its scores")
+        return row
 
 
 @dataclass
@@ -83,8 +101,7 @@ class BenchReport:
         if len(placements) != len(self.problems) or \
                 len(scores) != len(self.problems):
             raise ContractViolation("one placement and score per problem")
-        row = MethodRow(method, budget, k, float(np.mean(scores)),
-                        float(np.std(scores)), list(placements), list(scores))
+        row = MethodRow(method, budget, k, list(placements), list(scores))
         self.rows.append(row)
         return row
 
@@ -126,9 +143,6 @@ class BenchReport:
                     raise ContractViolation(
                         f"stored score {score!r} does not re-derive "
                         f"({fresh!r}) for method {row.method}")
-            mean = float(np.mean(row.scores))
-            if abs(mean - row.mean_score) > 1e-12:
-                raise ContractViolation(f"mean mismatch in {row.method}")
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

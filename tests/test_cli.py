@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+import pathlib
+import shlex
 import struct
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from decapbench import autodiff as ad
 from decapbench import pdn
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
-                            greedy_sim_placement, main, min_k_for_target)
+                            build_parser, greedy_sim_placement, main,
+                            min_k_for_target)
 from decapbench.env import read_problem_file
 
 
@@ -250,6 +253,43 @@ def test_exit_code_bad_json(workdir, checkpoint, tmp_path):
         bad.write_bytes(content)
         for argv in commands:
             assert run(*argv) == EXIT_IO, (content, argv[0])
+
+
+@pytest.mark.parametrize("edit", [{"std_score": 123.0}, {"k": 7},
+                                  {"mean_score": 1.0}],
+                         ids=["std", "k", "mean"])
+def test_report_verify_rejects_tampered_row(workdir, tmp_path, capsys, edit):
+    # A row must re-derive its mean and std from its scores, and every
+    # placement must be K ports long; re-simulation alone checks neither.
+    path = tmp_path / "b.json"
+    assert run("baselines", "--problems", workdir / "test_problems.json",
+               "--k", 2, "--rs-budgets", 4, "--ga-presets",
+               "--out", path) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["rows"][0].update(edit)
+    path.write_text(json.dumps(doc))
+    code = run("report", "--report", path, "--verify", "--max-plots", 1,
+               "--out", tmp_path / "plots")
+    assert code == EXIT_CONTRACT
+    assert "bad report" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
+
+
+def test_exit_code_out_of_memory(workdir, tmp_path, capsys, monkeypatch):
+    # A board too large for a dense sweep fails its allocation; no real
+    # oversized board is built, since the allocation can succeed and fill
+    # the machine's memory where the kernel overcommits.
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 300. GiB for an array with "
+                          "shape (201, 10000, 10000) and data type complex128")
+
+    monkeypatch.setattr(pdn, "solve_z_ports", oversized)
+    code = run("baselines", "--problems", workdir / "test_problems.json",
+               "--k", 2, "--out", tmp_path / "b.json")
+    captured = capsys.readouterr()
+    assert code == EXIT_CONTRACT
+    assert "too large for memory" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-2, -2)])
@@ -495,3 +535,18 @@ def test_fuzzed_input_files_exit_cleanly(fuzz_inputs, tmp_path, capsys,
     captured = capsys.readouterr()
     assert codes[0] in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_readme_cli_commands_parse():
+    # Every decapbench command in the README's CLI block, continuation
+    # lines joined, is accepted by the parser the program uses.
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("decapbench ")]
+    assert len(commands) == 6
+    for argv in commands:
+        args = build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]

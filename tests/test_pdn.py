@@ -60,9 +60,8 @@ def oracle_z_with_decaps(config, probe, decap_ports, f_hz):
 
 def oracle_stack_nodes(spec):
     """Node of every chip cell and every package cell, rebuilt without the
-    package's union-find. With an ideal via each chip cell is its nearest
-    package node (ties to the lower package index); otherwise the chip cells
-    keep their own nodes, numbered ahead of the package's."""
+    package's union-find: each chip cell is its nearest package node (ties
+    to the lower package index)."""
     chip, pkg = spec.chip, spec.package
     wc, wp = chip.cell.width_meter, pkg.cell.width_meter
     off_x = (pkg.n_cols * wp - chip.n_cols * wc) / 2.0
@@ -79,17 +78,13 @@ def oracle_stack_nodes(spec):
                     if d2 < best_d2:
                         best, best_d2 = pr * pkg.n_cols + pc, d2
             nearest.append(best)
-    if spec.via_inductance_henry == 0.0:
-        return nearest, list(range(pkg.n_cells)), nearest
-    n_chip = chip.n_cells
-    return (list(range(n_chip)), [n_chip + i for i in range(pkg.n_cells)],
-            nearest)
+    return nearest, list(range(pkg.n_cells))
 
 
 def oracle_admittance_stack(spec, f_hz):
     """Dense nodal admittance of a chip-on-package stack, stamped one
     element at a time. Returns it with the node of every chip cell."""
-    chip_node, pkg_node, nearest = oracle_stack_nodes(spec)
+    chip_node, pkg_node = oracle_stack_nodes(spec)
     n = max(chip_node + pkg_node) + 1
     w = TWO_PI * f_hz
     y = np.zeros((n, n), dtype=complex)
@@ -112,10 +107,6 @@ def oracle_admittance_stack(spec, f_hz):
                     stamp(i, node[r * grid.n_cols + c + 1], y_series)
                 if r + 1 < grid.n_rows:
                     stamp(i, node[(r + 1) * grid.n_cols + c], y_series)
-    if spec.via_inductance_henry > 0.0:
-        y_via = 1.0 / (1j * w * spec.via_inductance_henry)
-        for i in range(spec.chip.n_cells):
-            stamp(chip_node[i], pkg_node[nearest[i]], y_via)
     return y, chip_node
 
 
@@ -187,11 +178,10 @@ def test_admittance_matches_stamp_oracle():
 
 
 def test_zero_via_merges_chip_into_package():
-    # 1x1 chip on a 1x1 package with an ideal via: one merged node whose
-    # shunt admittance is the sum of both layers'.
+    # 1x1 chip on a 1x1 package: one merged node whose shunt admittance
+    # is the sum of both layers'.
     spec = pdn.StackSpec(chip=pdn.GridSpec(1, 1, pdn.CHIP_CELL),
-                         package=pdn.GridSpec(1, 1, pdn.PACKAGE_CELL),
-                         via_inductance_henry=0.0)
+                         package=pdn.GridSpec(1, 1, pdn.PACKAGE_CELL))
     topo = pdn.StackTopology(spec)
     assert topo.n_nodes == 1
     f = 1e9
@@ -202,19 +192,6 @@ def test_zero_via_merges_chip_into_package():
               + 1j * w * (pdn.CHIP_CELL.capacitance_farad
                           + pdn.PACKAGE_CELL.capacitance_farad))
     assert y[0, 0] == pytest.approx(expect, rel=1e-15)
-
-
-def test_nonzero_via_keeps_layers_separate():
-    spec = pdn.StackSpec(chip=pdn.GridSpec(1, 1, pdn.CHIP_CELL),
-                         package=pdn.GridSpec(1, 1, pdn.PACKAGE_CELL),
-                         via_inductance_henry=10e-12)
-    topo = pdn.StackTopology(spec)
-    assert topo.n_nodes == 2
-    f = 1e9
-    w = TWO_PI * f
-    y = topo.admittance(f).toarray()
-    y_via = 1.0 / (1j * w * 10e-12)
-    assert y[0, 1] == pytest.approx(-y_via, rel=1e-15)
 
 
 # --- Schur termination vs full re-solve -----------------------------------------
@@ -268,20 +245,18 @@ def test_attach_no_decaps_returns_bare_profile():
 
 # --- package stacks: ports merged into shared nodes --------------------------
 
-def small_package_stack(via_l):
-    """4x4 chip (1.2 mm) on a 3x3 package (1.5 mm). With an ideal via the
-    16 chip cells fall into 9 package nodes, 1, 2 or 4 cells each."""
+def small_package_stack():
+    """4x4 chip (1.2 mm) on a 3x3 package (1.5 mm): the 16 chip cells fall
+    into 9 package nodes, 1, 2 or 4 cells each."""
     return pdn.StackSpec(chip=pdn.GridSpec(4, 4, pdn.CHIP_CELL),
-                         package=pdn.GridSpec(3, 3, pdn.PACKAGE_CELL),
-                         via_inductance_henry=via_l)
+                         package=pdn.GridSpec(3, 3, pdn.PACKAGE_CELL))
 
 
-@pytest.mark.parametrize("via_l, n_rows", [(0.0, 9), (20e-12, 16)])
-def test_package_stack_sweep_matches_dense_oracle(via_l, n_rows):
-    spec = small_package_stack(via_l)
+def test_package_stack_sweep_matches_dense_oracle():
+    spec = small_package_stack()
     grid = pdn.make_freq_grid(5, 2e8, 2e10)
     sweep = pdn.solve_z_ports(spec, range(16), grid)
-    assert sweep.z.shape == (5, n_rows, n_rows)
+    assert sweep.z.shape == (5, 9, 9)
     for k, f in enumerate(grid.points):
         y, chip_node = oracle_admittance_stack(spec, f)
         z_dense = np.linalg.inv(y)
@@ -292,14 +267,12 @@ def test_package_stack_sweep_matches_dense_oracle(via_l, n_rows):
                 assert fast == pytest.approx(slow, rel=1e-9)
 
 
-@pytest.mark.parametrize("via_l", [0.0, 20e-12])
-def test_package_stack_attach_decaps_matches_dense_oracle(via_l):
-    spec = small_package_stack(via_l)
+def test_package_stack_attach_decaps_matches_dense_oracle():
+    spec = small_package_stack()
     decap = pdn.DecapModel()
     grid = pdn.make_freq_grid(7, 2e8, 2e10)
     sweep = pdn.solve_z_ports(spec, range(16), grid)
-    # Cells 1 and 2 share one package node with an ideal via, as do 5, 6,
-    # 9 and 10: two decaps on one node, and decaps on the probe's node.
+    # Cells 1 and 2 share one package node, as do 5, 6, 9 and 10: two decaps on one node, and decaps on the probe's node.
     cases = [(0, [1, 2]), (0, [1, 2, 15]), (5, [6]), (5, [6, 9, 10, 3])]
     rng = np.random.Generator(np.random.PCG64(8))
     for _ in range(6):
@@ -320,7 +293,7 @@ def test_ports_on_one_node_score_exactly_equal():
     # Cells 1 and 2 share a package node, as do 4 and 8; cell 7 sits on a
     # node whose row lies between those of 4 and 8 when sorted by port.
     decap = pdn.DecapModel()
-    sweep = pdn.solve_z_ports(small_package_stack(0.0), range(16),
+    sweep = pdn.solve_z_ports(small_package_stack(), range(16),
                               pdn.make_freq_grid(7, 2e8, 2e10))
     for probe, one, other in ((0, [1, 15], [2, 15]), (0, [4, 7], [8, 7]),
                               (15, [4, 7, 1], [8, 7, 2])):
@@ -331,7 +304,7 @@ def test_ports_on_one_node_score_exactly_equal():
 def test_greedy_lookahead_takes_lowest_port_of_a_node():
     # Ports on one node tie exactly, so np.argmax over the ascending
     # candidates must take the lowest one that is still free.
-    spec = small_package_stack(0.0)
+    spec = small_package_stack()
     nodes = pdn.StackTopology(spec).chip_port_nodes
     ev = Evaluator(pdn.SimConfig(spec, pdn.DecapModel(),
                                  pdn.make_freq_grid(7, 2e8, 2e10)))
@@ -381,9 +354,8 @@ def test_attach_decaps_residual_check_names_the_frequency():
 
 
 @pytest.mark.parametrize("spec, ports", [
-    (small_package_stack(0.0), list(range(16))),
-    (small_package_stack(0.0), [15, 3, 6, 5, 0, 10, 2, 1]),
-    (small_package_stack(20e-12), list(range(16))),
+    (small_package_stack(), list(range(16))),
+    (small_package_stack(), [15, 3, 6, 5, 0, 10, 2, 1]),
     (pdn.chip_only_config(3, 3).stack, list(range(9))),
 ])
 def test_compact_sweep_bit_identical_to_one_solve_per_port(spec, ports):
@@ -416,17 +388,16 @@ def test_paper_stack_has_36_distinct_port_nodes():
 @settings(max_examples=25, deadline=None)
 @given(chip_rows=st.integers(1, 4), chip_cols=st.integers(1, 4),
        extra_rows=st.integers(0, 2), extra_cols=st.integers(0, 2),
-       via_l=st.sampled_from([0.0, 5e-12, 50e-12]), data=st.data())
+       data=st.data())
 def test_package_stack_reciprocal_passive_and_permutation_invariant(
-        chip_rows, chip_cols, extra_rows, extra_cols, via_l, data):
+        chip_rows, chip_cols, extra_rows, extra_cols, data):
     # 0.3 mm chip cells, 0.5 mm package cells: ceil(0.6 n) package cells
     # cover n chip cells.
     spec = pdn.StackSpec(
         chip=pdn.GridSpec(chip_rows, chip_cols, pdn.CHIP_CELL),
         package=pdn.GridSpec(math.ceil(0.6 * chip_rows) + extra_rows,
                              math.ceil(0.6 * chip_cols) + extra_cols,
-                             pdn.PACKAGE_CELL),
-        via_inductance_henry=via_l)
+                             pdn.PACKAGE_CELL))
     n = spec.chip.n_cells
     grid = pdn.make_freq_grid(3, 2e8, 2e10)
     sweep = pdn.solve_z_ports(spec, range(n), grid)
@@ -453,13 +424,12 @@ def test_package_stack_reciprocal_passive_and_permutation_invariant(
 
 # --- package larger than the chip: Kron reduction onto the footprint --------
 
-def wide_package_stack(via_l, chip_rows=2, chip_cols=3):
+def wide_package_stack(chip_rows=2, chip_cols=3):
     """A chip centred on a 5x6 package (2.5 x 3 mm) whose footprint leaves
     most package cells out, so they are eliminated: a 2x3 chip lands on
     1x2 package rows x columns, a 3x4 chip on 3x2."""
     return pdn.StackSpec(chip=pdn.GridSpec(chip_rows, chip_cols, pdn.CHIP_CELL),
-                         package=pdn.GridSpec(5, 6, pdn.PACKAGE_CELL),
-                         via_inductance_henry=via_l)
+                         package=pdn.GridSpec(5, 6, pdn.PACKAGE_CELL))
 
 
 def footprint_cells(spec):
@@ -471,9 +441,8 @@ def footprint_cells(spec):
 
 
 @pytest.mark.parametrize("chip_rows, chip_cols", [(2, 3), (3, 4)])
-@pytest.mark.parametrize("via_l", [0.0, 20e-12])
-def test_wide_package_sweep_matches_dense_oracle(via_l, chip_rows, chip_cols):
-    spec = wide_package_stack(via_l, chip_rows, chip_cols)
+def test_wide_package_sweep_matches_dense_oracle(chip_rows, chip_cols):
+    spec = wide_package_stack(chip_rows, chip_cols)
     n = spec.chip.n_cells
     assert pdn.StackTopology(spec).n_nodes < spec.package.n_cells
     grid = pdn.make_freq_grid(5, 2e8, 2e10)
@@ -520,7 +489,7 @@ def test_path_modes_diagonalise_the_path_laplacian():
 
 @pytest.mark.parametrize("f", [2e8, 3.3e9, 2e10])
 def test_package_block_is_the_schur_complement_onto_the_footprint(f):
-    spec = wide_package_stack(20e-12, 3, 4)
+    spec = wide_package_stack(3, 4)
     pkg = spec.package
     y = oracle_admittance_chip_only(pkg.n_rows, pkg.n_cols, pkg.cell, f)
     keep = footprint_cells(spec)
@@ -533,32 +502,26 @@ def test_package_block_is_the_schur_complement_onto_the_footprint(f):
 
 @settings(max_examples=50, deadline=None)
 @given(chip_rows=st.integers(1, 4), chip_cols=st.integers(1, 4),
-       extra_rows=st.integers(0, 2), extra_cols=st.integers(0, 2),
-       via_l=st.sampled_from([0.0, 5e-12, 50e-12]))
+       extra_rows=st.integers(0, 2), extra_cols=st.integers(0, 2))
 def test_footprint_is_a_row_by_column_product(chip_rows, chip_cols,
-                                              extra_rows, extra_cols, via_l):
-    # The stacks of the reciprocity test above: every package node a via
-    # lands on is kept, and nothing else, so the reduction keeps no more
-    # nodes than the footprint has.
+                                              extra_rows, extra_cols):
+    # The stacks of the reciprocity test above: every package node a chip
+    # cell lands on is kept, and nothing else, so the reduction keeps no
+    # more nodes than the footprint has.
     spec = pdn.StackSpec(
         chip=pdn.GridSpec(chip_rows, chip_cols, pdn.CHIP_CELL),
         package=pdn.GridSpec(math.ceil(0.6 * chip_rows) + extra_rows,
                              math.ceil(0.6 * chip_cols) + extra_cols,
-                             pdn.PACKAGE_CELL),
-        via_inductance_henry=via_l)
+                             pdn.PACKAGE_CELL))
     landed = set(pdn.chip_to_package_map(spec).tolist())
     assert landed == set(footprint_cells(spec))
-    topo = pdn.StackTopology(spec)
-    n_chip = spec.chip.n_cells if via_l > 0 else 0
-    assert topo.n_nodes == n_chip + len(landed)
+    assert pdn.StackTopology(spec).n_nodes == len(landed)
 
 
 @pytest.mark.parametrize("bound, spec, match", [
     ("SOLVE_RESIDUAL_TOL", pdn.chip_only_config(3, 3).stack, "nodal solve"),
-    ("SOLVE_RESIDUAL_TOL", wide_package_stack(0.0), "nodal solve"),
-    ("SOLVE_RESIDUAL_TOL", wide_package_stack(20e-12), "nodal solve"),
-    ("BLOCK_RESIDUAL_TOL", wide_package_stack(0.0), "package block"),
-    ("BLOCK_RESIDUAL_TOL", wide_package_stack(20e-12), "package block"),
+    ("SOLVE_RESIDUAL_TOL", wide_package_stack(), "nodal solve"),
+    ("BLOCK_RESIDUAL_TOL", wide_package_stack(), "package block"),
     ("BLOCK_RESIDUAL_TOL", pdn.chip_only_config(3, 3).stack, None),
 ])
 def test_residual_checks_raise_with_frequency_index(monkeypatch, bound, spec,

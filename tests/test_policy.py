@@ -20,8 +20,6 @@ def test_model_config_contracts():
     with pytest.raises(ContractViolation):
         pol.ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ContractViolation):
-        pol.ModelConfig(ppe_mode="bogus")
-    with pytest.raises(ContractViolation):
         pol.ModelConfig(d_model=0, n_heads=4)
     d = CFG.to_dict()
     assert pol.ModelConfig.from_dict(d) == CFG
@@ -36,12 +34,9 @@ def test_model_config_contracts():
 
 def test_ppe_features_probe_row_is_zero():
     p = Problem(3, 3, 4, frozenset())
-    norm = pol.ppe_features(p, "norm")
+    norm = pol.ppe_features(p)
     assert norm.shape == (9, 1)
     assert norm[4, 0] == 0.0
-    both = pol.ppe_features(p, "delta-and-norm")
-    assert both.shape == (9, 3)
-    assert np.allclose(np.hypot(both[:, 0], both[:, 1]), both[:, 2])
 
 
 def _uncached_xy(rows, cols):
@@ -63,9 +58,7 @@ def test_board_geometry_cache_bit_identical_and_read_only(rows, cols):
     assert np.array_equal(feats[:, 2:].sum(axis=1), np.ones(rows * cols))
     delta = xy - xy[p.probe]
     norm = np.sqrt((delta ** 2).sum(axis=1, keepdims=True))
-    assert np.array_equal(pol.ppe_features(p, "norm"), norm)
-    assert np.array_equal(pol.ppe_features(p, "delta-and-norm"),
-                          np.concatenate([delta, norm], axis=1))
+    assert np.array_equal(pol.ppe_features(p), norm)
 
     cached = board_xy(rows, cols)
     assert cached is board_xy(rows, cols)
@@ -118,8 +111,7 @@ def step_by_step_log_prob(problems, placements, store, cfg):
 
 @pytest.mark.parametrize("overrides,k", [
     ({}, 4), ({"use_pcn": False}, 4), ({"use_rcn": False}, 4),
-    ({"use_pcn": False, "use_rcn": False}, 3),
-    ({"ppe_mode": "delta-and-norm"}, 4), ({}, 1)])
+    ({"use_pcn": False, "use_rcn": False}, 3), ({}, 1)])
 def test_one_pass_sequence_log_prob_matches_step_by_step(overrides, k):
     cfg = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32,
                          **overrides)
@@ -259,8 +251,7 @@ def test_zero_shot_board_and_k_transfer():
 
 def test_ablated_variants_run():
     for kw in ({"use_ppe": False}, {"use_pcn": False}, {"use_rcn": False},
-               {"use_ppe": False, "use_pcn": False, "use_rcn": False},
-               {"residual": False}, {"ppe_mode": "delta-and-norm"}):
+               {"use_ppe": False, "use_pcn": False, "use_rcn": False}):
         cfg = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32,
                              **kw)
         policy = pol.DevFormerPolicy(pol.init_params(cfg), cfg)
