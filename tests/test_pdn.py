@@ -356,6 +356,7 @@ def test_attach_decaps_residual_check_names_the_frequency():
 @pytest.mark.parametrize("spec, ports", [
     (small_package_stack(), list(range(16))),
     (small_package_stack(), [15, 3, 6, 5, 0, 10, 2, 1]),
+    (pdn.chip_only_config(2, 3).stack, [5, 1, 3, 0]),
     (pdn.chip_only_config(3, 3).stack, list(range(9))),
 ])
 def test_compact_sweep_bit_identical_to_one_solve_per_port(spec, ports):
