@@ -6,13 +6,16 @@ adjacent cells of the same layer are joined by a series R + jwL branch.
 Each chip cell is shorted to its nearest package cell (centered
 alignment), so chip cells on one package cell share that node. The
 package (a uniform grid, so its Laplacian has closed-form cosine modes) is
-Kron-reduced exactly onto the package nodes under the chip, and each
-frequency's sparse solve sees only those nodes; a package cell must
-therefore have a shunt (G or C nonzero).
+Kron-reduced exactly onto the package nodes under the chip; a package cell
+must therefore have a shunt (G or C nonzero). The sweep solves in dense
+frequency blocks for package stacks (whose reduced system is small and
+fully dense), `splu` for chip-only stacks (one sparse factorisation per
+frequency).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +31,9 @@ TWO_PI = 2.0 * np.pi
 SOLVE_RESIDUAL_TOL = 1e-9
 # Bound on ||Z0 Y_fp - I|| (Frobenius) for the package block's inverse.
 BLOCK_RESIDUAL_TOL = 1e-9
+# Frequencies per dense block of a package-stack sweep. One block of all
+# frequencies would hold several times the sweep's own size in temporaries.
+FREQ_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -216,13 +222,14 @@ class StackTopology:
     """Frequency-independent structure of the nodal admittance matrix.
 
     Built once per stack; admittance values are stamped per frequency.
-    A chip-only stack keeps one node per chip cell. A package is eliminated
-    exactly onto its footprint, the package rows x columns that the chip
-    cells sit on: the footprint nodes, numbered row-major, are the stack's
-    nodes, and chip cells on one package node share it. The package enters
-    each frequency's matrix as one dense block, the Kron reduction of its
-    uniform grid onto the footprint, built from the grid Laplacian's
-    closed-form cosine modes.
+    A chip-only stack keeps one node per chip cell and is stamped as a
+    sparse matrix (`admittance`). A package is eliminated exactly onto its
+    footprint, the package rows x columns that the chip cells sit on: the
+    footprint nodes, numbered row-major, are the stack's nodes, and chip
+    cells on one package node share it. Such a stack is stamped densely
+    for many frequencies at once (`package_admittance`): the package enters
+    as the Kron reduction of its uniform grid onto the footprint, built
+    from the grid Laplacian's closed-form cosine modes.
     """
 
     def __init__(self, spec: StackSpec):
@@ -230,7 +237,6 @@ class StackTopology:
         chip = spec.chip
         node_of = np.arange(chip.n_cells)
         self.n_nodes = chip.n_cells
-        fp = np.zeros(0, dtype=np.int64)  # footprint nodes, row-major
         if spec.package is not None:
             pkg = spec.package
             pkg_of = chip_to_package_map(spec)
@@ -238,7 +244,6 @@ class StackTopology:
             fp_cols, col_of = np.unique(pkg_of % pkg.n_cols, return_inverse=True)
             node_of = row_of * len(fp_cols) + col_of
             self.n_nodes = len(fp_rows) * len(fp_cols)
-            fp = np.arange(self.n_nodes)
             # Z_pkg = sum over modes (k, l) of (u_k u_k^T) (x) (v_l v_l^T) * D[k, l]
             # with D[k, l] = 1 / (y_p (mu_k + nu_l) + s_p); on the footprint
             # its ((r, c), (r', c')) entry is pr[(r, r'), :] @ D @ pc[:, (c, c')].
@@ -263,32 +268,69 @@ class StackTopology:
         np.add.at(self._sh_c, node_of, chip.cell.capacitance_farad)
 
         a, b = self._br_a, self._br_b
-        nodes = np.arange(self.n_nodes)
-        self._rows = np.concatenate([a, b, a, b, nodes, np.repeat(fp, len(fp))])
-        self._cols = np.concatenate([a, b, b, a, nodes, np.tile(fp, len(fp))])
+        rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+        if spec.package is None:
+            nodes = np.arange(self.n_nodes)
+            self._rows = np.concatenate([rows, nodes])
+            self._cols = np.concatenate([cols, nodes])
+        else:
+            # Chip branch Laplacian; parallel branches between two package
+            # nodes add up.
+            self._lap = np.zeros((self.n_nodes, self.n_nodes))
+            np.add.at(self._lap, (rows, cols),
+                      np.repeat([1.0, 1.0, -1.0, -1.0], len(a)))
 
-    def _package_block(self, f_hz: float) -> np.ndarray:
-        """Admittance the package presents at its footprint nodes: the
-        inverse of the footprint block of the package grid's impedance
-        matrix, residual-checked (NumericFailure without a frequency index;
-        the sweep adds it)."""
+    def _package_impedance(self, f_hz: np.ndarray) -> np.ndarray:
+        """Footprint block of the package grid's impedance matrix at each
+        frequency, as one (len(f_hz), n, n) array."""
         cell = self.spec.package.cell
-        w = TWO_PI * f_hz
+        w = TWO_PI * f_hz[:, None, None]
         y_p = 1.0 / (cell.resistance_ohm + 1j * w * cell.inductance_henry)
         s_p = cell.conductance_siemens + 1j * w * cell.capacitance_farad
         a, b = self._fp_shape
         z0 = self._pr @ (1.0 / (y_p * self._mu + s_p)) @ self._pc
-        z0 = z0.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+        z0 = z0.reshape(-1, a, a, b, b).transpose(0, 1, 3, 2, 4)
+        return z0.reshape(-1, a * b, a * b)
+
+    def _package_block(self, f_hz: np.ndarray) -> np.ndarray:
+        """Admittance the package presents at its footprint nodes at each
+        frequency: the inverse of `_package_impedance`, residual-checked per
+        frequency (NumericFailure with the index into f_hz)."""
+        z0 = self._package_impedance(f_hz)
         try:
             y_fp = np.linalg.inv(z0)
         except np.linalg.LinAlgError as exc:
-            raise NumericFailure(f"singular package block at {f_hz:g} Hz") from exc
-        resid = np.linalg.norm(z0 @ y_fp - np.eye(a * b))
-        if not np.isfinite(resid) or resid > BLOCK_RESIDUAL_TOL:
-            raise NumericFailure(f"package block inverse failed at {f_hz:g} Hz")
+            k = _first_singular(z0)
+            raise NumericFailure(f"singular package block at {f_hz[k]:g} Hz",
+                                 k) from exc
+        resid = np.linalg.norm(z0 @ y_fp - np.eye(self.n_nodes), axis=(1, 2))
+        k = _first_failed(resid, BLOCK_RESIDUAL_TOL)
+        if k is not None:
+            raise NumericFailure(f"package block inverse failed at {f_hz[k]:g} Hz",
+                                 k)
         return y_fp
 
+    def package_admittance(self, f_hz: np.ndarray) -> np.ndarray:
+        """Dense nodal admittance of a package stack at each frequency, as
+        one (len(f_hz), n, n) array: the package block plus the chip's
+        branch and shunt stamps."""
+        f_hz = np.asarray(f_hz, dtype=np.float64)
+        if self.spec.package is None:
+            raise ContractViolation("stack has no package layer")
+        w = TWO_PI * f_hz
+        cell = self.spec.chip.cell
+        y_br = 1.0 / (cell.resistance_ohm + 1j * w * cell.inductance_henry)
+        y = self._package_block(f_hz)
+        y += y_br[:, None, None] * self._lap
+        nodes = np.arange(self.n_nodes)
+        y[:, nodes, nodes] += self._sh_g + 1j * w[:, None] * self._sh_c
+        return y
+
     def admittance(self, f_hz: float) -> sp.csc_matrix:
+        """Sparse nodal admittance of a chip-only stack at one frequency."""
+        if self.spec.package is not None:
+            raise ContractViolation("a package stack is stamped densely: "
+                                    "use package_admittance")
         if f_hz <= 0:
             raise ContractViolation("frequency must be positive")
         w = TWO_PI * f_hz
@@ -298,12 +340,23 @@ class StackTopology:
         z_br = np.array([cell.resistance_ohm]) + 1j * w * cell.inductance_henry
         y_br = np.repeat(1.0 / z_br, len(self._br_a))
         y_sh = self._sh_g + 1j * w * self._sh_c
-        parts = [y_br, y_br, -y_br, -y_br, y_sh]
-        if self.spec.package is not None:
-            parts.append(self._package_block(f_hz).ravel())
-        y = sp.coo_matrix((np.concatenate(parts), (self._rows, self._cols)),
+        y = sp.coo_matrix((np.concatenate([y_br, y_br, -y_br, -y_br, y_sh]),
+                           (self._rows, self._cols)),
                           shape=(self.n_nodes, self.n_nodes))
         return y.tocsc()
+
+
+def _first_failed(resid: np.ndarray, tol: float):
+    """Index of the first residual that is not finite or exceeds tol, or
+    None when every one passes."""
+    bad = np.flatnonzero(~np.isfinite(resid) | (resid > tol))
+    return int(bad[0]) if bad.size else None
+
+
+def _first_singular(a: np.ndarray) -> int:
+    """Index of the first matrix of the stack a whose LU factorisation has
+    a zero pivot, the one np.linalg rejected as singular."""
+    return int(np.argmin(np.abs(np.linalg.slogdet(a).sign)))
 
 
 @dataclass(frozen=True)
@@ -321,6 +374,12 @@ class FrequencySweepZ:
     z: np.ndarray = field(repr=False)
     port_rows: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        # attach_decaps gathers from z through a flat view; a strided z
+        # would be copied whole on every call.
+        if not self.z.flags.c_contiguous:
+            raise ContractViolation("sweep z must be C-contiguous")
+
     @cached_property
     def _row_of_port(self) -> dict:
         return dict(zip(self.ports, self.port_rows.tolist()))
@@ -336,7 +395,9 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     """Z[i][j](f) = voltage at port i for unit current injected at port j.
 
     One right-hand side per distinct port node: ports on one node have the
-    same column, so each is solved (and residual-checked) once.
+    same column, so each is solved (and residual-checked) once. A sweep
+    whose z and right-hand sides would not fit in the machine's physical
+    RAM is rejected before anything is allocated.
     """
     ports = tuple(int(p) for p in ports)
     if len(set(ports)) != len(ports):
@@ -351,24 +412,54 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     nodes = np.array(list(row_of_node), dtype=np.int64)
     n, nd = topo.n_nodes, len(nodes)
     freqs = grid.points
+    need = 16 * (len(freqs) * nd * nd + n * nd)
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > ram:
+        raise ContractViolation(
+            f"sweep of {nd} port nodes at {len(freqs)} frequencies needs "
+            f"{need / 2**30:.1f} GiB, more than the {ram / 2**30:.1f} GiB "
+            "of physical RAM")
     z = np.empty((len(freqs), nd, nd), dtype=np.complex128)
     rhs = np.zeros((n, nd), dtype=np.complex128)
     rhs[nodes, np.arange(nd)] = 1.0
-    for k, f in enumerate(freqs):
-        try:
+    if spec.package is None:
+        for k, f in enumerate(freqs):
             y = topo.admittance(f)
-        except NumericFailure as exc:
-            raise NumericFailure(str(exc), k) from exc
+            try:
+                lu = splu(y)
+                v = lu.solve(rhs)
+            except RuntimeError as exc:
+                raise NumericFailure(f"singular system at {f:g} Hz", k) from exc
+            resid = np.linalg.norm(y @ v - rhs, axis=0)
+            if not np.all(np.isfinite(v)) or np.max(resid) > SOLVE_RESIDUAL_TOL:
+                raise NumericFailure(f"nodal solve failed at {f:g} Hz", k)
+            z[k] = v[nodes, :]
+        return FrequencySweepZ(ports, grid, z, port_rows)
+    for k0 in range(0, len(freqs), FREQ_BLOCK):
+        f = freqs[k0:k0 + FREQ_BLOCK]
         try:
-            lu = splu(y)
-            v = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise NumericFailure(f"singular system at {f:g} Hz", k) from exc
-        resid = np.linalg.norm(y @ v - rhs, axis=0)
-        if not np.all(np.isfinite(v)) or np.max(resid) > SOLVE_RESIDUAL_TOL:
-            raise NumericFailure(f"nodal solve failed at {f:g} Hz", k)
-        z[k] = v[nodes, :]
+            z[k0:k0 + len(f)] = _dense_solve(topo, f, rhs)[:, nodes, :]
+        except NumericFailure as exc:
+            raise NumericFailure(str(exc), k0 + exc.frequency_index) from exc
     return FrequencySweepZ(ports, grid, z, port_rows)
+
+
+def _dense_solve(topo: StackTopology, f_hz: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Nodal voltages of a package stack for the right-hand sides rhs at
+    each frequency, as one (len(f_hz), n, n_rhs) array, residual-checked
+    per frequency (NumericFailure with the index into f_hz)."""
+    y = topo.package_admittance(f_hz)
+    try:
+        v = np.linalg.solve(y, rhs)
+    except np.linalg.LinAlgError as exc:
+        k = _first_singular(y)
+        raise NumericFailure(f"singular system at {f_hz[k]:g} Hz", k) from exc
+    resid = np.linalg.norm(y @ v - rhs, axis=1).max(axis=1)
+    k = _first_failed(resid, SOLVE_RESIDUAL_TOL)
+    if k is not None:
+        raise NumericFailure(f"nodal solve failed at {f_hz[k]:g} Hz", k)
+    return v
 
 
 def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,

@@ -4,6 +4,7 @@ import os
 import pathlib
 import shlex
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from decapbench import pdn
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                             build_parser, greedy_sim_placement, main,
                             min_k_for_target)
-from decapbench.env import read_problem_file
+from decapbench.env import Problem, read_problem_file, write_problem_file
 
 
 def run(*argv):
@@ -290,6 +291,25 @@ def test_exit_code_out_of_memory(workdir, tmp_path, capsys, monkeypatch):
     assert code == EXIT_CONTRACT
     assert "too large for memory" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_exit_code_sweep_larger_than_ram(tmp_path, capsys):
+    # A 100x100 board's sweep needs ~300 GiB; it is rejected from its size
+    # before anything that large is allocated.
+    path = tmp_path / "big.json"
+    write_problem_file(path, [Problem(100, 100, 0, frozenset())])
+    tracemalloc.start()
+    try:
+        code = run("baselines", "--problems", path, "--k", 2,
+                   "--out", tmp_path / "b.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == EXIT_CONTRACT
+    assert "of physical RAM" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-2, -2)])

@@ -6,6 +6,7 @@ structural bug in the fast implementation shows up as a disagreement.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_zero_via_merges_chip_into_package():
     assert topo.n_nodes == 1
     f = 1e9
     w = TWO_PI * f
-    y = topo.admittance(f).toarray()
+    y = topo.package_admittance([f])[0]
     expect = (pdn.CHIP_CELL.conductance_siemens
               + pdn.PACKAGE_CELL.conductance_siemens
               + 1j * w * (pdn.CHIP_CELL.capacitance_farad
@@ -371,8 +372,13 @@ def test_compact_sweep_bit_identical_to_one_solve_per_port(spec, ports):
     rows = [sweep.port_index(p) for p in ports]
     rhs = np.zeros((topo.n_nodes, len(ports)), dtype=complex)
     rhs[nodes, np.arange(len(ports))] = 1.0
+    # A package stack is solved densely, in one frequency block here.
+    y = topo.package_admittance(grid.points) if spec.package else None
     for k, f in enumerate(grid.points):
-        per_port = splu(topo.admittance(f)).solve(rhs)[nodes, :]
+        if spec.package is None:
+            per_port = splu(topo.admittance(f)).solve(rhs)[nodes, :]
+        else:
+            per_port = np.linalg.solve(y[k], rhs)[nodes, :]
         assert np.array_equal(sweep.z[k][np.ix_(rows, rows)], per_port)
     if len(first_seen) == len(ports):
         assert rows == list(range(len(ports)))
@@ -497,7 +503,7 @@ def test_package_block_is_the_schur_complement_onto_the_footprint(f):
     drop = [i for i in range(pkg.n_cells) if i not in keep]
     schur = (y[np.ix_(keep, keep)] - y[np.ix_(keep, drop)]
              @ np.linalg.solve(y[np.ix_(drop, drop)], y[np.ix_(drop, keep)]))
-    block = pdn.StackTopology(spec)._package_block(f)
+    block = pdn.StackTopology(spec)._package_block(np.array([f]))[0]
     assert np.allclose(block, schur, rtol=0, atol=1e-9 * np.abs(schur).max())
 
 
@@ -539,6 +545,63 @@ def test_residual_checks_raise_with_frequency_index(monkeypatch, bound, spec,
     with pytest.raises(NumericFailure, match=match) as info:
         pdn.solve_z_ports(spec, ports, grid)
     assert info.value.frequency_index == 0
+
+
+def _rank_deficient(n):
+    """An n x n matrix of rank n - 1 whose LU leaves a round-off pivot: it
+    inverts and solves without error, with a residual of order 1."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    return (rng.random((n, n - 1)) @ rng.random((n - 1, n))).astype(complex)
+
+
+@pytest.mark.parametrize("method, poison, match", [
+    ("_package_impedance", lambda n: np.zeros((n, n)), "singular package block"),
+    ("_package_impedance", _rank_deficient, "package block inverse failed"),
+    ("package_admittance", lambda n: np.zeros((n, n)), "singular system"),
+    ("package_admittance", _rank_deficient, "nodal solve failed"),
+])
+def test_dense_sweep_failure_carries_the_grid_frequency_index(
+        monkeypatch, method, poison, match):
+    # One bad frequency in the second block of a package sweep: the error
+    # names its index in the grid, not in its block.
+    spec = wide_package_stack(3, 4)
+    grid = pdn.make_freq_grid(pdn.FREQ_BLOCK + 9, 2e8, 2e10)
+    bad = pdn.FREQ_BLOCK + 4
+    build = getattr(pdn.StackTopology, method)
+
+    def poisoned(self, f_hz):
+        out = build(self, f_hz)
+        out[np.asarray(f_hz) == grid.points[bad]] = poison(self.n_nodes)
+        return out
+
+    monkeypatch.setattr(pdn.StackTopology, method, poisoned)
+    with pytest.raises(NumericFailure, match=match) as info:
+        pdn.solve_z_ports(spec, range(spec.chip.n_cells), grid)
+    assert info.value.frequency_index == bad
+
+
+def test_paper_sweep_temporaries_stay_below_half_its_result():
+    # Frequency blocks bound what the dense sweep holds besides z; all 201
+    # frequencies in one block would take five times z.
+    cfg = pdn.paper_scale_config()
+    tracemalloc.start()
+    try:
+        sweep = pdn.solve_z_ports(cfg.stack, range(100), cfg.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sweep.z.nbytes
+
+
+@pytest.mark.parametrize("spec", [pdn.chip_only_config(3, 3).stack,
+                                  small_package_stack()])
+def test_sweep_z_is_c_contiguous(spec):
+    sweep = pdn.solve_z_ports(spec, range(spec.chip.n_cells),
+                              pdn.make_freq_grid(pdn.FREQ_BLOCK + 3, 2e8, 2e10))
+    assert sweep.z.flags.c_contiguous
+    with pytest.raises(ContractViolation, match="C-contiguous"):
+        pdn.FrequencySweepZ(sweep.ports, sweep.grid,
+                            np.asfortranarray(sweep.z), sweep.port_rows)
 
 
 def test_package_cell_without_shunt_rejected():
