@@ -7,7 +7,7 @@ Each chip cell is shorted to its nearest package cell (centered
 alignment), so chip cells on one package cell share that node. The
 package (a uniform grid, so its Laplacian has closed-form cosine modes) is
 Kron-reduced exactly onto the package nodes under the chip; a package cell
-must therefore have a shunt (G or C nonzero). The sweep solves in dense
+must therefore have a shunt (G or C nonzero). The sweep uses dense
 frequency blocks for package stacks (whose reduced system is small and
 fully dense), `splu` for chip-only stacks (one sparse factorisation per
 frequency).

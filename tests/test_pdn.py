@@ -372,8 +372,9 @@ def test_compact_sweep_bit_identical_to_one_solve_per_port(spec, ports):
     rows = [sweep.port_index(p) for p in ports]
     rhs = np.zeros((topo.n_nodes, len(ports)), dtype=complex)
     rhs[nodes, np.arange(len(ports))] = 1.0
-    # A package stack is solved densely, in one frequency block here.
-    y = topo.package_admittance(grid.points) if spec.package else None
+    if spec.package is not None:
+        # Solved densely, in one frequency block here.
+        y = topo.package_admittance(grid.points)
     for k, f in enumerate(grid.points):
         if spec.package is None:
             per_port = splu(topo.admittance(f)).solve(rhs)[nodes, :]
