@@ -15,8 +15,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import pdn, policy as pol, training
 from .env import (Evaluator, Problem, gen_problem_set, read_problem_file,
                   write_problem_file)
@@ -26,6 +24,11 @@ from .search import (GaConfig, build_expert_dataset, ga_solve, random_search,
                      read_expert_dataset)
 
 EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
+
+# Lookahead scores within this fraction of the best one tie, and the lowest
+# port among them wins: mirror-image ports score equal in exact arithmetic,
+# and round-off must not choose between them.
+LOOKAHEAD_TIE_RTOL = 1e-10
 
 
 def _sim_config(name: str, rows: int, cols: int) -> pdn.SimConfig:
@@ -160,7 +163,8 @@ def cmd_eval(args) -> int:
 def greedy_sim_placement(problem: Problem, k_max: int,
                          evaluator: Evaluator) -> list:
     """One-step-lookahead placement: at each step add the feasible port that
-    maximizes J. Returns the incremental placement: k_max ports, or every
+    maximizes J, the lowest one among ports that tie (`_lookahead_pick`).
+    Returns the incremental placement: k_max ports, or every
     feasible port when there are fewer."""
     chosen = []
     for _ in range(k_max):
@@ -168,8 +172,16 @@ def greedy_sim_placement(problem: Problem, k_max: int,
         if not feas:
             break
         scores = [evaluator.evaluate(problem, chosen + [a]) for a in feas]
-        chosen.append(feas[int(np.argmax(scores))])
+        chosen.append(_lookahead_pick(feas, scores))
     return chosen
+
+
+def _lookahead_pick(ports, scores) -> int:
+    """The lowest port whose score lies within LOOKAHEAD_TIE_RTOL x |best|
+    of the best score."""
+    best = max(scores)
+    tol = LOOKAHEAD_TIE_RTOL * abs(best)
+    return min(p for p, s in zip(ports, scores) if best - s <= tol)
 
 
 def min_k_for_target(problem: Problem, target: float, k_max: int,

@@ -7,10 +7,11 @@ Each chip cell is shorted to its nearest package cell (centered
 alignment), so chip cells on one package cell share that node. The
 package (a uniform grid, so its Laplacian has closed-form cosine modes) is
 Kron-reduced exactly onto the package nodes under the chip; a package cell
-must therefore have a shunt (G or C nonzero). The sweep uses dense
-frequency blocks for package stacks (whose reduced system is small and
-fully dense), `splu` for chip-only stacks (one sparse factorisation per
-frequency).
+must therefore have a shunt (G or C nonzero). A chip-only stack is itself
+such a uniform grid, so its sweep needs no solve: the impedance columns of
+the port nodes come straight from the same cosine modes. A package stack's
+reduced system is small and fully dense and is solved directly. Both sweep
+in blocks of frequencies and check every frequency's nodal residual.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ContractViolation, NumericFailure
 
@@ -31,9 +30,13 @@ TWO_PI = 2.0 * np.pi
 SOLVE_RESIDUAL_TOL = 1e-9
 # Bound on ||Z0 Y_fp - I|| (Frobenius) for the package block's inverse.
 BLOCK_RESIDUAL_TOL = 1e-9
-# Frequencies per dense block of a package-stack sweep. One block of all
-# frequencies would hold several times the sweep's own size in temporaries.
+# Frequencies per block of a sweep. One block of all frequencies would hold
+# several times the sweep's own size in temporaries.
 FREQ_BLOCK = 16
+# (FREQ_BLOCK, port nodes, nodes) complex arrays that one block of a sweep
+# holds at once, for the RAM bound in solve_z_ports (chip-only sweeps peak
+# at 5 to 5.6 of them besides z).
+BLOCK_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,10 @@ class FreqGrid:
         pts = np.asarray(self.points_hz, dtype=np.float64)
         if pts.ndim != 1 or len(pts) < 1:
             raise ContractViolation("frequency grid must be a 1-D list")
-        if np.any(pts <= 0) or np.any(np.diff(pts) <= 0):
-            raise ContractViolation("frequencies must be positive and strictly increasing")
+        if (not np.all(np.isfinite(pts)) or np.any(pts <= 0)
+                or np.any(np.diff(pts) <= 0)):
+            raise ContractViolation(
+                "frequencies must be finite, positive and strictly increasing")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -204,6 +209,31 @@ def _path_modes(n: int):
     return mu, u
 
 
+def _cell_admittances(cell: UnitCellParams, w):
+    """Series branch admittance 1 / (R + jwL) and shunt admittance G + jwC
+    of a grid cell at the angular frequencies w, each shaped like w."""
+    return (1.0 / (cell.resistance_ohm + 1j * w * cell.inductance_henry),
+            cell.conductance_siemens + 1j * w * cell.capacitance_farad)
+
+
+def _modal_impedance(cell: UnitCellParams, mu: np.ndarray, f_hz: np.ndarray,
+                     pr: np.ndarray, pc: np.ndarray) -> np.ndarray:
+    """Impedance of a uniform grid of cells between chosen rows x columns,
+    at each frequency, from the modes of its Laplacian.
+
+    With branch admittance y and shunt s per node, the grid's Z is the sum
+    over modes (k, l) of (u_k u_k^T) (x) (v_l v_l^T) * D[k, l], where
+    D[k, l] = 1 / (y mu[k, l] + s) and mu[k, l] = mu_k + nu_l. Its entry
+    between nodes (r, c) and (r', c') is therefore pr @ D @ pc, with
+    pr[(r, r'), k] = u_k(r) u_k(r') and pc[l, (c, c')] = v_l(c) v_l(c').
+    pr (..., P, n_rows) and pc (..., n_cols, Q) may carry batch axes; the
+    result is (len(f_hz), ..., P, Q).
+    """
+    w = TWO_PI * np.reshape(f_hz, (-1,) + (1,) * max(pr.ndim, pc.ndim))
+    y, s = _cell_admittances(cell, w)
+    return pr @ (1.0 / (y * mu + s)) @ pc
+
+
 def _grid_branches(grid: GridSpec) -> np.ndarray:
     """(a, b) cell pairs of a grid's series branches, row-major order,
     as an (n_branches, 2) array."""
@@ -219,47 +249,57 @@ def _grid_branches(grid: GridSpec) -> np.ndarray:
 
 
 class StackTopology:
-    """Frequency-independent structure of the nodal admittance matrix.
+    """Frequency-independent structure of a stack's nodal system.
 
-    Built once per stack; admittance values are stamped per frequency.
-    A chip-only stack keeps one node per chip cell and is stamped as a
-    sparse matrix (`admittance`). A package is eliminated exactly onto its
+    Built once per stack; values are computed per block of frequencies.
+    A chip-only stack keeps one node per chip cell, row-major. It is a
+    uniform grid, so the impedance columns of any nodes come in closed form
+    from its Laplacian's cosine modes (`chip_impedance`), and its nodal
+    admittance is applied branch by branch, never formed
+    (`apply_chip_admittance`). A package is eliminated exactly onto its
     footprint, the package rows x columns that the chip cells sit on: the
     footprint nodes, numbered row-major, are the stack's nodes, and chip
     cells on one package node share it. Such a stack is stamped densely
-    for many frequencies at once (`package_admittance`): the package enters
-    as the Kron reduction of its uniform grid onto the footprint, built
-    from the grid Laplacian's closed-form cosine modes.
+    (`package_admittance`): the package enters as the Kron reduction of its
+    uniform grid onto the footprint, built from the same cosine modes.
     """
 
     def __init__(self, spec: StackSpec):
         self.spec = spec
         chip = spec.chip
-        node_of = np.arange(chip.n_cells)
-        self.n_nodes = chip.n_cells
-        if spec.package is not None:
-            pkg = spec.package
-            pkg_of = chip_to_package_map(spec)
-            fp_rows, row_of = np.unique(pkg_of // pkg.n_cols, return_inverse=True)
-            fp_cols, col_of = np.unique(pkg_of % pkg.n_cols, return_inverse=True)
-            node_of = row_of * len(fp_cols) + col_of
-            self.n_nodes = len(fp_rows) * len(fp_cols)
-            # Z_pkg = sum over modes (k, l) of (u_k u_k^T) (x) (v_l v_l^T) * D[k, l]
-            # with D[k, l] = 1 / (y_p (mu_k + nu_l) + s_p); on the footprint
-            # its ((r, c), (r', c')) entry is pr[(r, r'), :] @ D @ pc[:, (c, c')].
-            mu_r, u_r = _path_modes(pkg.n_rows)
-            mu_c, u_c = _path_modes(pkg.n_cols)
+        if spec.package is None:
+            self.n_nodes = chip.n_cells
+            self.chip_port_nodes = np.arange(chip.n_cells)
+            mu_r, self._u_r = _path_modes(chip.n_rows)
+            mu_c, self._u_c = _path_modes(chip.n_cols)
             self._mu = mu_r[:, None] + mu_c[None, :]
-            ur, uc = u_r[fp_rows], u_c[fp_cols]
-            self._pr = (ur[:, None, :] * ur[None, :, :]).reshape(-1, pkg.n_rows)
-            self._pc = (uc[:, None, :] * uc[None, :, :]).reshape(-1, pkg.n_cols).T
-            self._fp_shape = (len(fp_rows), len(fp_cols))
+            return
+        pkg = spec.package
+        pkg_of = chip_to_package_map(spec)
+        fp_rows, row_of = np.unique(pkg_of // pkg.n_cols, return_inverse=True)
+        fp_cols, col_of = np.unique(pkg_of % pkg.n_cols, return_inverse=True)
+        node_of = row_of * len(fp_cols) + col_of
+        self.n_nodes = len(fp_rows) * len(fp_cols)
         self.chip_port_nodes = node_of
+        # The package's impedance on the footprint rows x columns, in the
+        # form of _modal_impedance.
+        mu_r, u_r = _path_modes(pkg.n_rows)
+        mu_c, u_c = _path_modes(pkg.n_cols)
+        self._mu = mu_r[:, None] + mu_c[None, :]
+        ur, uc = u_r[fp_rows], u_c[fp_cols]
+        self._pr = (ur[:, None, :] * ur[None, :, :]).reshape(-1, pkg.n_rows)
+        self._pc = (uc[:, None, :] * uc[None, :, :]).reshape(-1, pkg.n_cols).T
+        self._fp_shape = (len(fp_rows), len(fp_cols))
 
-        # Series branches as node pairs; chip branches inside one package
-        # node carry no current and are dropped.
+        # Chip branch Laplacian; chip branches inside one package node carry
+        # no current and are dropped, parallel branches between two package
+        # nodes add up.
         pairs = node_of[_grid_branches(chip)]
-        self._br_a, self._br_b = pairs[pairs[:, 0] != pairs[:, 1]].T
+        a, b = pairs[pairs[:, 0] != pairs[:, 1]].T
+        self._lap = np.zeros((self.n_nodes, self.n_nodes))
+        np.add.at(self._lap, (np.concatenate([a, b, a, b]),
+                              np.concatenate([a, b, b, a])),
+                  np.repeat([1.0, 1.0, -1.0, -1.0], len(a)))
 
         # Chip shunt G and C accumulated per node.
         self._sh_g = np.zeros(self.n_nodes)
@@ -267,28 +307,50 @@ class StackTopology:
         np.add.at(self._sh_g, node_of, chip.cell.conductance_siemens)
         np.add.at(self._sh_c, node_of, chip.cell.capacitance_farad)
 
-        a, b = self._br_a, self._br_b
-        rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
-        if spec.package is None:
-            nodes = np.arange(self.n_nodes)
-            self._rows = np.concatenate([rows, nodes])
-            self._cols = np.concatenate([cols, nodes])
-        else:
-            # Chip branch Laplacian; parallel branches between two package
-            # nodes add up.
-            self._lap = np.zeros((self.n_nodes, self.n_nodes))
-            np.add.at(self._lap, (rows, cols),
-                      np.repeat([1.0, 1.0, -1.0, -1.0], len(a)))
+    def chip_impedance(self, f_hz: np.ndarray, nodes) -> np.ndarray:
+        """Impedance columns of a chip-only stack at each frequency, one per
+        node in nodes, as one (len(f_hz), len(nodes), n_nodes) array: [k, j]
+        holds the node voltages for unit current injected at nodes[j]."""
+        if self.spec.package is not None:
+            raise ContractViolation("stack has a package layer")
+        chip = self.spec.chip
+        r, c = np.divmod(np.asarray(nodes), chip.n_cols)
+        # Row and column mode products of each column's node with every row
+        # and every column of the grid.
+        pr = self._u_r * self._u_r[r][:, None, :]
+        pc = (self._u_c * self._u_c[c][:, None, :]).transpose(0, 2, 1)
+        z = _modal_impedance(chip.cell, self._mu, f_hz, pr, pc)
+        return z.reshape(len(f_hz), len(r), self.n_nodes)
+
+    def apply_chip_admittance(self, f_hz: np.ndarray,
+                              v: np.ndarray) -> np.ndarray:
+        """Y(f) v for a chip-only stack, from its branch and shunt stamps
+        without forming Y: v is (len(f_hz), m, n_nodes), m node-voltage
+        vectors per frequency, and the result holds the currents they
+        inject, in the same shape."""
+        if self.spec.package is not None:
+            raise ContractViolation("stack has a package layer")
+        chip = self.spec.chip
+        y, s = _cell_admittances(chip.cell,
+                                 TWO_PI * np.reshape(f_hz, (-1, 1, 1, 1)))
+        v = v.reshape(len(f_hz), -1, chip.n_rows, chip.n_cols)
+        out = s * v
+        # Each branch current flows out of its lower node into its higher
+        # one: branches between adjacent rows, then adjacent columns.
+        i_br = y * np.diff(v, axis=2)
+        out[:, :, :-1] -= i_br
+        out[:, :, 1:] += i_br
+        i_br = y * np.diff(v, axis=3)
+        out[..., :-1] -= i_br
+        out[..., 1:] += i_br
+        return out.reshape(len(f_hz), -1, self.n_nodes)
 
     def _package_impedance(self, f_hz: np.ndarray) -> np.ndarray:
         """Footprint block of the package grid's impedance matrix at each
         frequency, as one (len(f_hz), n, n) array."""
-        cell = self.spec.package.cell
-        w = TWO_PI * f_hz[:, None, None]
-        y_p = 1.0 / (cell.resistance_ohm + 1j * w * cell.inductance_henry)
-        s_p = cell.conductance_siemens + 1j * w * cell.capacitance_farad
         a, b = self._fp_shape
-        z0 = self._pr @ (1.0 / (y_p * self._mu + s_p)) @ self._pc
+        z0 = _modal_impedance(self.spec.package.cell, self._mu, f_hz,
+                              self._pr, self._pc)
         z0 = z0.reshape(-1, a, a, b, b).transpose(0, 1, 3, 2, 4)
         return z0.reshape(-1, a * b, a * b)
 
@@ -318,32 +380,12 @@ class StackTopology:
         if self.spec.package is None:
             raise ContractViolation("stack has no package layer")
         w = TWO_PI * f_hz
-        cell = self.spec.chip.cell
-        y_br = 1.0 / (cell.resistance_ohm + 1j * w * cell.inductance_henry)
+        y_br, _ = _cell_admittances(self.spec.chip.cell, w)
         y = self._package_block(f_hz)
         y += y_br[:, None, None] * self._lap
         nodes = np.arange(self.n_nodes)
         y[:, nodes, nodes] += self._sh_g + 1j * w[:, None] * self._sh_c
         return y
-
-    def admittance(self, f_hz: float) -> sp.csc_matrix:
-        """Sparse nodal admittance of a chip-only stack at one frequency."""
-        if self.spec.package is not None:
-            raise ContractViolation("a package stack is stamped densely: "
-                                    "use package_admittance")
-        if f_hz <= 0:
-            raise ContractViolation("frequency must be positive")
-        w = TWO_PI * f_hz
-        cell = self.spec.chip.cell
-        # Every branch is a chip branch: one admittance, divided by numpy
-        # (whose complex division rounds unlike Python's) and repeated.
-        z_br = np.array([cell.resistance_ohm]) + 1j * w * cell.inductance_henry
-        y_br = np.repeat(1.0 / z_br, len(self._br_a))
-        y_sh = self._sh_g + 1j * w * self._sh_c
-        y = sp.coo_matrix((np.concatenate([y_br, y_br, -y_br, -y_br, y_sh]),
-                           (self._rows, self._cols)),
-                          shape=(self.n_nodes, self.n_nodes))
-        return y.tocsc()
 
 
 def _first_failed(resid: np.ndarray, tol: float):
@@ -394,10 +436,11 @@ class FrequencySweepZ:
 def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     """Z[i][j](f) = voltage at port i for unit current injected at port j.
 
-    One right-hand side per distinct port node: ports on one node have the
-    same column, so each is solved (and residual-checked) once. A sweep
-    whose z and right-hand sides would not fit in the machine's physical
-    RAM is rejected before anything is allocated.
+    One column per distinct port node: ports on one node have the same
+    column, so each is computed (and residual-checked) once. The grid is
+    swept in blocks of FREQ_BLOCK frequencies. A sweep whose z and block
+    work arrays would not fit in the machine's physical RAM is rejected
+    before anything is allocated.
     """
     ports = tuple(int(p) for p in ports)
     if len(set(ports)) != len(ports):
@@ -412,7 +455,9 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     nodes = np.array(list(row_of_node), dtype=np.int64)
     n, nd = topo.n_nodes, len(nodes)
     freqs = grid.points
-    need = 16 * (len(freqs) * nd * nd + n * nd)
+    # z, plus the few (block, nd, n) complex arrays a block works in.
+    need = 16 * (len(freqs) * nd * nd
+                 + BLOCK_ARRAYS * min(len(freqs), FREQ_BLOCK) * n * nd)
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > ram:
         raise ContractViolation(
@@ -420,36 +465,41 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
             f"{need / 2**30:.1f} GiB, more than the {ram / 2**30:.1f} GiB "
             "of physical RAM")
     z = np.empty((len(freqs), nd, nd), dtype=np.complex128)
-    rhs = np.zeros((n, nd), dtype=np.complex128)
-    rhs[nodes, np.arange(nd)] = 1.0
-    if spec.package is None:
-        for k, f in enumerate(freqs):
-            y = topo.admittance(f)
-            try:
-                lu = splu(y)
-                v = lu.solve(rhs)
-            except RuntimeError as exc:
-                raise NumericFailure(f"singular system at {f:g} Hz", k) from exc
-            resid = np.linalg.norm(y @ v - rhs, axis=0)
-            if not np.all(np.isfinite(v)) or np.max(resid) > SOLVE_RESIDUAL_TOL:
-                raise NumericFailure(f"nodal solve failed at {f:g} Hz", k)
-            z[k] = v[nodes, :]
-        return FrequencySweepZ(ports, grid, z, port_rows)
+    solve = _modal_solve if spec.package is None else _dense_solve
     for k0 in range(0, len(freqs), FREQ_BLOCK):
         f = freqs[k0:k0 + FREQ_BLOCK]
         try:
-            z[k0:k0 + len(f)] = _dense_solve(topo, f, rhs)[:, nodes, :]
+            z[k0:k0 + len(f)] = solve(topo, f, nodes)
         except NumericFailure as exc:
             raise NumericFailure(str(exc), k0 + exc.frequency_index) from exc
     return FrequencySweepZ(ports, grid, z, port_rows)
 
 
+def _modal_solve(topo: StackTopology, f_hz: np.ndarray,
+                 nodes: np.ndarray) -> np.ndarray:
+    """Impedance between the given nodes of a chip-only stack at each
+    frequency, as one (len(f_hz), m, m) array. Its full columns are checked
+    against the nodal equation Y Z = E per frequency (NumericFailure with
+    the index into f_hz)."""
+    z = topo.chip_impedance(f_hz, nodes)
+    resid = topo.apply_chip_admittance(f_hz, z)
+    resid[:, np.arange(len(nodes)), nodes] -= 1.0
+    k = _first_failed(np.linalg.norm(resid, axis=2).max(axis=1),
+                      SOLVE_RESIDUAL_TOL)
+    if k is not None:
+        raise NumericFailure(f"nodal solve failed at {f_hz[k]:g} Hz", k)
+    return z[:, :, nodes].transpose(0, 2, 1)
+
+
 def _dense_solve(topo: StackTopology, f_hz: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Nodal voltages of a package stack for the right-hand sides rhs at
-    each frequency, as one (len(f_hz), n, n_rhs) array, residual-checked
-    per frequency (NumericFailure with the index into f_hz)."""
+                 nodes: np.ndarray) -> np.ndarray:
+    """Impedance between the given nodes of a package stack at each
+    frequency, as one (len(f_hz), m, m) array, from one batched solve with
+    a unit right-hand side per node, residual-checked per frequency
+    (NumericFailure with the index into f_hz)."""
     y = topo.package_admittance(f_hz)
+    rhs = np.zeros((topo.n_nodes, len(nodes)), dtype=np.complex128)
+    rhs[nodes, np.arange(len(nodes))] = 1.0
     try:
         v = np.linalg.solve(y, rhs)
     except np.linalg.LinAlgError as exc:
@@ -459,7 +509,7 @@ def _dense_solve(topo: StackTopology, f_hz: np.ndarray,
     k = _first_failed(resid, SOLVE_RESIDUAL_TOL)
     if k is not None:
         raise NumericFailure(f"nodal solve failed at {f_hz[k]:g} Hz", k)
-    return v
+    return v[:, nodes, :]
 
 
 def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from decapbench import autodiff as ad
 from decapbench import pdn
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
-                            build_parser, greedy_sim_placement, main,
-                            min_k_for_target)
+                            LOOKAHEAD_TIE_RTOL, _lookahead_pick, build_parser,
+                            greedy_sim_placement, main, min_k_for_target)
 from decapbench.env import Problem, read_problem_file, write_problem_file
 
 
@@ -467,6 +467,19 @@ def test_greedy_sim_placement_feasible(eval3):
     placement = greedy_sim_placement(p, 3, eval3)
     validate_placement(p, placement)
     assert len(placement) == 3
+
+
+def test_lookahead_pick_breaks_ties_by_lowest_port():
+    # Two mirror-image placements of the test_draw_order golden, 1 ulp apart.
+    best = 215.57247239360925
+    low = np.nextafter(best, 0.0)
+    assert _lookahead_pick([2, 8], [low, best]) == 2
+    assert _lookahead_pick([2, 8], [best, low]) == 2
+    assert _lookahead_pick([2, 5, 8], [best - 1.0, low, best]) == 5
+    # A gap larger than the tolerance: the maximum wins.
+    gap = 10 * LOOKAHEAD_TIE_RTOL * best
+    assert _lookahead_pick([2, 8], [best - gap, best]) == 8
+    assert _lookahead_pick([2, 8], [-best - gap, -best]) == 8
 
 
 # --- fuzzed input files -------------------------------------------------------

@@ -23,7 +23,7 @@ PROBLEMS = {0: Problem(4, 4, 5, frozenset({0, 10, 15})),
 GOLDEN = {
     # seed: (random_search, ga_solve, greedy_sim_placement, uniform sample)
     0: ((4, 7, 1), (8, 4, 9, 12, 1), [1, 9, 6, 4], (13, 9, 7, 3)),
-    1: ((2, 11, 4), (4, 2, 1, 14, 5), [1, 4, 5, 8], (8, 10, 13, 15)),
+    1: ((2, 11, 4), (4, 2, 1, 14, 5), [1, 4, 5, 2], (8, 10, 13, 15)),
     2: ((15, 13, 10), (15, 13, 8, 4, 10), [10, 15, 13, 9], (12, 5, 3, 6)),
 }
 

@@ -169,11 +169,20 @@ def test_two_cell_ladder_matches_hand_solution():
     assert sweep.z[0, 1, 0] == pytest.approx(z01, rel=1e-12)
 
 
+def chip_admittance(spec, f):
+    """Dense nodal admittance of a chip-only stack at f: the operator the
+    sweep's residual check applies, applied to the identity (Y e_j is
+    column j of Y)."""
+    eye = np.eye(spec.chip.n_cells)[None]
+    return pdn.StackTopology(spec).apply_chip_admittance(np.array([f]),
+                                                         eye)[0].T
+
+
 def test_admittance_matches_stamp_oracle():
     for rows, cols in ((1, 3), (2, 2), (3, 4), (5, 5)):
         spec = pdn.StackSpec(chip=pdn.GridSpec(rows, cols, pdn.CHIP_CELL))
         for f in (2e8, 1e9, 2e10):
-            fast = pdn.StackTopology(spec).admittance(f).toarray()
+            fast = chip_admittance(spec, f)
             slow = oracle_admittance_chip_only(rows, cols, pdn.CHIP_CELL, f)
             assert np.allclose(fast, slow, rtol=1e-13, atol=1e-16)
 
@@ -370,14 +379,19 @@ def test_compact_sweep_bit_identical_to_one_solve_per_port(spec, ports):
     assert [sweep.port_index(p) for p in ports] == \
         [first_seen.index(v) for v in nodes.tolist()]
     rows = [sweep.port_index(p) for p in ports]
-    rhs = np.zeros((topo.n_nodes, len(ports)), dtype=complex)
-    rhs[nodes, np.arange(len(ports))] = 1.0
-    if spec.package is not None:
+    if spec.package is None:
+        # Each column comes in closed form on its own: the sweep of the
+        # same ports in ascending order, gathered to this order.
+        ascending = pdn.solve_z_ports(spec, sorted(ports), grid)
+        at = [ascending.port_index(p) for p in ports]
+    else:
         # Solved densely, in one frequency block here.
         y = topo.package_admittance(grid.points)
-    for k, f in enumerate(grid.points):
+        rhs = np.zeros((topo.n_nodes, len(ports)), dtype=complex)
+        rhs[nodes, np.arange(len(ports))] = 1.0
+    for k in range(len(grid)):
         if spec.package is None:
-            per_port = splu(topo.admittance(f)).solve(rhs)[nodes, :]
+            per_port = ascending.z[k][np.ix_(at, at)]
         else:
             per_port = np.linalg.solve(y[k], rhs)[nodes, :]
         assert np.array_equal(sweep.z[k][np.ix_(rows, rows)], per_port)
@@ -605,6 +619,58 @@ def test_sweep_z_is_c_contiguous(spec):
                             np.asfortranarray(sweep.z), sweep.port_rows)
 
 
+@pytest.mark.parametrize("rows, cols, ports", [
+    (1, 5, [0, 1, 2, 3, 4]),
+    (1, 4, [3, 0, 2]),
+    (3, 5, [14, 0, 7, 3, 8]),
+    (4, 2, [5, 1, 6]),
+    (5, 5, [24, 12, 0, 6, 18, 1]),
+])
+def test_chip_sweep_matches_dense_solve_of_the_oracle(rows, cols, ports):
+    # Two frequency blocks; ports unordered, a subset of the board.
+    spec = pdn.StackSpec(chip=pdn.GridSpec(rows, cols, pdn.CHIP_CELL))
+    grid = pdn.make_freq_grid(pdn.FREQ_BLOCK + 3, 2e8, 2e10)
+    sweep = pdn.solve_z_ports(spec, ports, grid)
+    at = [sweep.port_index(p) for p in ports]
+    rhs = np.zeros((rows * cols, len(ports)), dtype=complex)
+    rhs[ports, np.arange(len(ports))] = 1.0
+    for k, f in enumerate(grid.points):
+        y = oracle_admittance_chip_only(rows, cols, pdn.CHIP_CELL, f)
+        slow = np.linalg.solve(y, rhs)[ports, :]
+        fast = sweep.z[k][np.ix_(at, at)]
+        assert np.all(np.abs(fast - slow) <= 1e-10 * np.abs(slow))
+
+
+def test_chip_sweep_temporaries_stay_below_half_its_result():
+    spec = pdn.chip_only_config(10, 10).stack
+    tracemalloc.start()
+    try:
+        sweep = pdn.solve_z_ports(spec, range(100), pdn.default_freq_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sweep.z.nbytes
+
+
+def test_chip_sweep_on_few_ports_stays_far_below_one_full_block():
+    # Only the ports' columns are computed: one block of the full 900 x 900
+    # impedance would take 16 x 900^2 x 16 B, about 200 MB.
+    spec = pdn.chip_only_config(30, 30).stack
+    tracemalloc.start()
+    try:
+        pdn.solve_z_ports(spec, [0, 29, 451, 899], pdn.default_freq_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("points", [(1e9, np.nan, 2e9), (1e9, np.inf)])
+def test_freq_grid_rejects_non_finite_frequencies(points):
+    with pytest.raises(ContractViolation, match="finite"):
+        pdn.FreqGrid(points)
+
+
 def test_package_cell_without_shunt_rejected():
     no_shunt = pdn.UnitCellParams(0.093, 0.25e-9, 0.0, 0.0, 0.5e-3)
     with pytest.raises(ContractViolation, match="shunt"):
@@ -626,7 +692,7 @@ def test_package_cell_without_shunt_rejected():
        f=st.floats(2e8, 2e10))
 def test_admittance_symmetric_and_passive(rows, cols, f):
     spec = pdn.StackSpec(chip=pdn.GridSpec(rows, cols, pdn.CHIP_CELL))
-    y = pdn.StackTopology(spec).admittance(f).toarray()
+    y = chip_admittance(spec, f)
     assert np.allclose(y, y.T, rtol=0, atol=0)
     # Real part positive semidefinite (passive network).
     eig = np.linalg.eigvalsh(y.real)
