@@ -96,9 +96,9 @@ def cmd_gen(args) -> int:
 
 # --- train --------------------------------------------------------------------
 
-def _train_configs(args, rows: int, cols: int):
+def _train_configs(args):
     """The preset's train and model configs, with the train flags that are
-    set and the dataset's board size applied to the train config."""
+    set applied to the train config."""
     if args.preset == "paper":
         tcfg = training.TrainConfig(seed=args.seed)
         mcfg = pol.ModelConfig(init_seed=args.seed)
@@ -110,15 +110,14 @@ def _train_configs(args, rows: int, cols: int):
              "lambda_eff": args.lambda_eff}
     overrides = {name: value for name, value in flags.items()
                  if value is not None}
-    return (dataclasses.replace(tcfg, **overrides, n_rows=rows, n_cols=cols),
-            mcfg)
+    return dataclasses.replace(tcfg, **overrides), mcfg
 
 
 def cmd_train(args) -> int:
     records, _ = read_expert_dataset(args.dataset)
     val_problems = read_problem_file(args.val_problems)
     rows, cols = _board_of([r.problem for r in records])
-    tcfg, mcfg = _train_configs(args, rows, cols)
+    tcfg, mcfg = _train_configs(args)
     ev = Evaluator(_sim_config(args.sim, rows, cols))
     t0 = time.time()
     result = training.train(records, tcfg, mcfg, ev, val_problems,
@@ -256,8 +255,8 @@ def cmd_baselines(args) -> int:
         cfg = GaConfig(pop, gens, elites)
         run_method(f"ga-{cfg.budget}",
                    lambda i, p, c=cfg: ga_solve(
-                       p, args.k, GaConfig(c.population, c.generations,
-                                           c.elites, seed=args.seed + i), ev))
+                       p, args.k, dataclasses.replace(c, seed=args.seed + i),
+                       ev))
     report.metadata = {"seed": args.seed, "k": args.k,
                        "simulator_calls": ev.count,
                        "wall_time_s": time.time() - t0}

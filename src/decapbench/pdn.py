@@ -28,6 +28,8 @@ TWO_PI = 2.0 * np.pi
 
 # Residual bound for declaring a nodal solve failed.
 SOLVE_RESIDUAL_TOL = 1e-9
+# Bound on the relative residual of the decap termination solve.
+TERMINATION_RESIDUAL_TOL = 1e-6
 # Bound on ||Z0 Y_fp - I|| (Frobenius) for the package block's inverse.
 BLOCK_RESIDUAL_TOL = 1e-9
 # Frequencies per block of a sweep. One block of all frequencies would hold
@@ -541,19 +543,22 @@ def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,
     zcp = z_bare.z[:, ci, pi]
     flat = (ci[:, None] * nd + ci[None, :]).ravel()
     a = np.take(z_bare.z.reshape(n_freq, nd * nd), flat, axis=1)
-    zd = decap_impedance(d, z_bare.grid.points)
+    f_hz = z_bare.grid.points
+    zd = decap_impedance(d, f_hz)
     a[:, ::m + 1] += zd[:, None] / counts
     a = a.reshape(n_freq, m, m)
     b = zcp[:, :, None]
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure("singular decap termination solve") from exc
+        k = _first_singular(a)
+        raise NumericFailure(
+            f"singular decap termination solve at {f_hz[k]:g} Hz", k) from exc
     resid = np.linalg.norm(a @ x - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
-    bad = np.flatnonzero(~np.isfinite(resid) | (resid > 1e-6))
-    if bad.size:
-        raise NumericFailure("ill-conditioned decap termination solve",
-                             int(bad[0]))
+    k = _first_failed(resid, TERMINATION_RESIDUAL_TOL)
+    if k is not None:
+        raise NumericFailure(
+            f"ill-conditioned decap termination solve at {f_hz[k]:g} Hz", k)
     z_probe = zpp - (zpc[:, None, :] @ x)[:, 0, 0]
     return np.abs(z_probe)
 

@@ -35,9 +35,7 @@ class ModelConfig:
     d_model: int = 128
     ff_dim: int = 512
     n_heads: int = 8
-    use_ppe: bool = True
-    use_pcn: bool = True
-    use_rcn: bool = True
+    ablated: bool = False  # no PPE, PCN or RCN: the architecture ablation
     init_seed: int = 0
 
     def __post_init__(self):
@@ -95,7 +93,7 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
             store.add(name + ".b", np.zeros(fan_out))
 
     lin("node", 5, d)
-    if cfg.use_ppe:
+    if not cfg.ablated:
         lin("ppe", 1, d)
     for layer in range(cfg.n_layers):
         pre = f"enc{layer}"
@@ -108,10 +106,9 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
             store.add(f"{pre}.{bn}.beta", np.zeros(d))
             store.add_buffer(f"{pre}.{bn}.mean", np.zeros(d))
             store.add_buffer(f"{pre}.{bn}.var", np.ones(d))
-    if cfg.use_pcn:
+    if not cfg.ablated:
         lin("pcn1", d, d)
         lin("pcn2", d, d)
-    if cfg.use_rcn:
         lin("rcn1", d, d)
         lin("rcn2", d, d)
         store.add("start", ad.xavier_uniform(rng, 1, d, shape=(d,)))
@@ -128,9 +125,9 @@ def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
     if len({(p.n_rows, p.n_cols) for p in problems}) != 1:
         raise ContractViolation("batch must share one board size")
     feats = np.stack([encode_features(p) for p in problems])
-    ppe = np.stack([ppe_features(p) for p in problems])
     h = ad.linear(ad.Tensor(feats), store["node.w"], store["node.b"])
-    if cfg.use_ppe:
+    if not cfg.ablated:
+        ppe = np.stack([ppe_features(p) for p in problems])
         h = h + ad.linear(ad.Tensor(ppe), store["ppe.w"], store["ppe.b"])
     for layer in range(cfg.n_layers):
         pre = f"enc{layer}"
@@ -162,26 +159,25 @@ class DecoderCache:
     kh: ad.Tensor             # (B, heads, N, dh) glimpse keys
     vh: ad.Tensor             # (B, heads, N, dh) glimpse values
     keys: ad.Tensor           # (B, d, N) pointer keys, transposed
-    fixed: ad.Tensor | None   # (B, 1, d) step-invariant part of the query
-    table: ad.Tensor | None   # (B, N + 1, d) RCN inputs: ports, then start
+    fixed: ad.Tensor          # (B, 1, d) step-invariant part of the query
+    table: ad.Tensor | None   # (B, N + 1, d) RCN inputs: ports, then start;
+                              # None in the ablated model
 
 
 def decoder_cache(h: ad.Tensor, problems, store: ad.ParamStore,
                   cfg: ModelConfig) -> DecoderCache:
     """Project the encoding h of problems once for every decode step.
 
-    The step-invariant query part is the PCN of the probe embedding; it is
-    None when only the RCN is on, and the mean port embedding when both
-    context networks are off.
+    The step-invariant query part is the PCN of the probe embedding, and
+    the table feeds the RCN of the previous port; the ablated model has
+    neither network, and its query is the mean port embedding alone.
     """
     bsz, _, d = h.shape
-    fixed = table = None
-    if cfg.use_pcn:
+    if cfg.ablated:
+        fixed, table = ad.mean(h, axis=1, keepdims=True), None
+    else:
         probes = np.array([[p.probe] for p in problems])
         fixed = _mlp(ad.take_rows(h, probes), store, "pcn1", "pcn2")
-    elif not cfg.use_rcn:
-        fixed = ad.mean(h, axis=1, keepdims=True)
-    if cfg.use_rcn:
         start = ad.broadcast_to(ad.reshape(store["start"], (1, 1, d)),
                                 (bsz, 1, d))
         table = ad.concat([h, start], axis=1)
@@ -203,9 +199,9 @@ def decode(cache: DecoderCache, prev_ports: np.ndarray, masks: np.ndarray,
         raise ContractViolation("no feasible port left")
     bsz, t = prev_ports.shape
     query = cache.fixed
-    if cfg.use_rcn:
+    if cache.table is not None:
         r = _mlp(ad.take_rows(cache.table, prev_ports), store, "rcn1", "rcn2")
-        query = r if query is None else query + r
+        query = query + r
     q = ad.linear(query, store["ctx.w"], store["ctx.b"])
     if q.shape[1] != t:
         q = ad.broadcast_to(q, (bsz, t, cfg.d_model))

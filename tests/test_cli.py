@@ -431,6 +431,15 @@ def _without_last_buffer(header):
     return header
 
 
+def _three_ablation_flags(header):
+    # The config of a checkpoint saved before one `ablated` flag replaced
+    # use_ppe/use_pcn/use_rcn.
+    del header["config"]["ablated"]
+    header["config"].update(use_ppe=True, use_pcn=True, use_rcn=True)
+    header["config_hash"] = ad.config_hash(header["config"])
+    return header
+
+
 def _string_d_model(header):
     header["config"]["d_model"] = "32"
     header["config_hash"] = ad.config_hash(header["config"])
@@ -447,10 +456,11 @@ def _string_d_model(header):
     _edit_header(_negate_first_shape),
     _edit_header(_huge_first_shape),
     _edit_header(_without_last_buffer),
-    _edit_header(_string_d_model)],
+    _edit_header(_string_d_model),
+    _edit_header(_three_ablation_flags)],
     ids=["half", "first-6-bytes", "huge-header-length", "extra-config-key",
          "no-params", "list-header", "negative-shape", "huge-shape",
-         "missing-buffer", "string-d-model"])
+         "missing-buffer", "string-d-model", "three-ablation-flags"])
 def test_exit_code_malformed_checkpoint(workdir, checkpoint, tmp_path,
                                         damage):
     bad = tmp_path / "bad.ckpt"

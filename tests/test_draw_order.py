@@ -14,7 +14,7 @@ from decapbench import policy as pol
 from decapbench.cli import greedy_sim_placement
 from decapbench.env import Evaluator, Problem
 from decapbench.search import GaConfig, ga_solve, random_search
-from decapbench.training import SequentialUniformPolicy
+from order_bias_reference import SequentialUniformPolicy
 
 PROBLEMS = {0: Problem(4, 4, 5, frozenset({0, 10, 15})),
             1: Problem(4, 4, 0, frozenset({3, 6, 9, 12})),

@@ -348,8 +348,10 @@ def test_attach_decaps_singular_termination_raises():
     # The row that carries two decaps cancels exactly only against z_d / 2.
     block = np.diag([0.0, 1.0, 1.0]).astype(complex)
     sweep = _two_ports_on_one_row_sweep(block)
-    with pytest.raises(NumericFailure, match="singular"):
+    with pytest.raises(NumericFailure, match="singular") as info:
         pdn.attach_decaps(sweep, 0, [1, 2, 3, 4], pdn.DecapModel())
+    assert info.value.frequency_index == 1
+    assert f"{sweep.grid.points[1]:g} Hz" in str(info.value)
 
 
 def test_attach_decaps_residual_check_names_the_frequency():
@@ -361,6 +363,16 @@ def test_attach_decaps_residual_check_names_the_frequency():
     with pytest.raises(NumericFailure, match="ill-conditioned") as info:
         pdn.attach_decaps(sweep, 0, [1, 2, 3, 4], pdn.DecapModel())
     assert info.value.frequency_index == 1
+    assert f"{sweep.grid.points[1]:g} Hz" in str(info.value)
+
+
+def test_attach_decaps_non_finite_entry_names_the_frequency():
+    sweep = _two_ports_on_one_row_sweep(np.eye(3, dtype=complex))
+    sweep.z[2, 2, 3] = np.nan
+    with pytest.raises(NumericFailure, match="ill-conditioned") as info:
+        pdn.attach_decaps(sweep, 0, [1, 2, 3, 4], pdn.DecapModel())
+    assert info.value.frequency_index == 2
+    assert f"{sweep.grid.points[2]:g} Hz" in str(info.value)
 
 
 @pytest.mark.parametrize("spec, ports", [

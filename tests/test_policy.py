@@ -27,7 +27,9 @@ def test_model_config_contracts():
     for bad in ({**d, "extra": 1}, {k: v for k, v in d.items()
                                     if k != "init_seed"},
                 {**d, "d_model": "16"}, {**d, "n_heads": 0},
-                {**d, "use_pcn": 1}):
+                {**d, "ablated": 1},
+                {**{k: v for k, v in d.items() if k != "ablated"},
+                 "use_ppe": True, "use_pcn": True, "use_rcn": True}):
         with pytest.raises(ContractViolation):
             pol.ModelConfig.from_dict(bad)
 
@@ -110,8 +112,7 @@ def step_by_step_log_prob(problems, placements, store, cfg):
 
 
 @pytest.mark.parametrize("overrides,k", [
-    ({}, 4), ({"use_pcn": False}, 4), ({"use_rcn": False}, 4),
-    ({"use_pcn": False, "use_rcn": False}, 3), ({}, 1)])
+    ({}, 4), ({"ablated": True}, 3), ({}, 1)])
 def test_one_pass_sequence_log_prob_matches_step_by_step(overrides, k):
     cfg = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32,
                          **overrides)
@@ -250,10 +251,9 @@ def test_zero_shot_board_and_k_transfer():
 
 
 def test_ablated_variants_run():
-    for kw in ({"use_ppe": False}, {"use_pcn": False}, {"use_rcn": False},
-               {"use_ppe": False, "use_pcn": False, "use_rcn": False}):
+    for ablated in (False, True):
         cfg = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32,
-                             **kw)
+                             ablated=ablated)
         policy = pol.DevFormerPolicy(pol.init_params(cfg), cfg)
         p = gen_problem_set(5, 1, 3, 3, 2)[0]
         placement, lp = policy.greedy_placement(p, 2)

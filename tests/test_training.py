@@ -9,6 +9,7 @@ from decapbench import training as tr
 from decapbench.env import Problem, gen_problem, gen_problem_set
 from decapbench.errors import ContractViolation, NumericFailure
 from decapbench.search import ExpertRecord, ga_solve, GaConfig
+from order_bias_reference import SequentialUniformPolicy, theorem_check
 
 CFG = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32)
 
@@ -125,7 +126,7 @@ def test_train_config_rejects_non_positive_counts(field, value):
 
 def test_order_bias_uniform_policy_exactly_zero():
     probs = gen_problem_set(4, 5, 4, 4, 3)
-    est = tr.order_bias_estimate(tr.SequentialUniformPolicy(), probs,
+    est = tr.order_bias_estimate(SequentialUniformPolicy(), probs,
                                  s=100, seed=0, k=3)
     assert est.value == 0.0
     assert est.sample_width == 100
@@ -172,11 +173,11 @@ class BiasedTwoStepPolicy:
 def test_theorem_check_both_directions():
     # Symmetric direction: the uniform policy has exactly zero bias.
     p = Problem(2, 2, 0, frozenset())     # 3 feasible ports
-    rep = tr.theorem_check(tr.SequentialUniformPolicy(), p, k=2)
+    rep = theorem_check(SequentialUniformPolicy(), p, k=2)
     assert rep.order_bias == 0.0 and rep.is_symmetric and rep.consistent
 
     # Asymmetric direction: nonzero bias, with a counterexample pair.
-    rep2 = tr.theorem_check(BiasedTwoStepPolicy(), p, k=2)
+    rep2 = theorem_check(BiasedTwoStepPolicy(), p, k=2)
     assert rep2.order_bias > 0.0
     assert not rep2.is_symmetric and rep2.consistent
     assert rep2.counterexample is not None
@@ -185,7 +186,7 @@ def test_theorem_check_both_directions():
 def test_theorem_check_matches_hand_enumeration():
     p = Problem(2, 2, 0, frozenset())
     policy = BiasedTwoStepPolicy()
-    rep = tr.theorem_check(policy, p, k=2)
+    rep = theorem_check(policy, p, k=2)
     import itertools
     feas = [1, 2, 3]
     trajs = list(itertools.permutations(feas, 2))
@@ -203,12 +204,11 @@ def test_theorem_check_matches_hand_enumeration():
 def test_theorem_check_rejects_bad_weights():
     p = Problem(2, 2, 0, frozenset())
     with pytest.raises(ContractViolation):
-        tr.theorem_check(tr.SequentialUniformPolicy(), p, k=2,
-                         trajectory_weights=[0.0] * 6,
-                         transform_weights=None)
+        theorem_check(SequentialUniformPolicy(), p, k=2,
+                      trajectory_weights=[0.0] * 6, transform_weights=None)
     with pytest.raises(ContractViolation):
-        tr.theorem_check(tr.SequentialUniformPolicy(),
-                         Problem(3, 3, 0, frozenset()), k=2)  # 8 > 6 ports
+        theorem_check(SequentialUniformPolicy(),
+                      Problem(3, 3, 0, frozenset()), k=2)  # 8 > 6 ports
 
 
 def _tiny_dataset(eval3, n=6):
@@ -223,9 +223,8 @@ def test_train_smoke_and_log(eval3, tmp_path):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(77, 4, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, val_size=4,
-                          max_steps=20, val_interval=10, patience=5,
-                          n_rows=3, n_cols=3, keepout_max=2, self_batch=2)
+                          lambda_eff=10.0, k=2, max_steps=20, val_interval=10,
+                          patience=5, keepout_max=2, self_batch=2)
     res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=8)
     assert res.steps_run == 20
     assert res.best_val > 0
@@ -245,8 +244,7 @@ def test_train_nan_after_relu_reaches_non_finite_guard(eval3):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(79, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
-                          val_size=2, max_steps=1, n_rows=3, n_cols=3,
-                          keepout_max=2)
+                          max_steps=1, keepout_max=2)
     store = pol.init_params(CFG)
     store["enc0.ff1.b"].data[0] = np.nan
     with pytest.raises(NumericFailure):
@@ -262,10 +260,9 @@ def test_last_log_row_validates_final_store(eval3, max_steps, patience):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(80, 3, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=5e-2, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, val_size=3,
-                          max_steps=max_steps, val_interval=3,
-                          patience=patience, n_rows=3, n_cols=3,
-                          keepout_max=2, self_batch=2, seed=2)
+                          lambda_eff=10.0, k=2, max_steps=max_steps,
+                          val_interval=3, patience=patience, keepout_max=2,
+                          self_batch=2, seed=2)
     res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=4)
     stopped_early = res.steps_run < max_steps
     assert stopped_early == (patience == 1)
@@ -276,10 +273,21 @@ def test_last_log_row_validates_final_store(eval3, max_steps, patience):
 
 def test_train_rejects_val_overlap(eval3):
     recs, probs = _tiny_dataset(eval3, n=3)
-    tcfg = tr.TrainConfig(n_rows=3, n_cols=3, k=2, max_steps=1,
-                          batch_size=1, val_size=1)
+    tcfg = tr.TrainConfig(k=2, max_steps=1, batch_size=1)
     with pytest.raises(ContractViolation):
         tr.train(recs, tcfg, CFG, eval3, [probs[0]])
+
+
+def test_train_rejects_records_on_two_boards(eval3):
+    # The self-term problems are drawn on the records' one board.
+    recs, probs = _tiny_dataset(eval3, n=2)
+    other = gen_problem_set(6, 1, 4, 4, 2)[0]
+    recs.append(ExpertRecord(other, (0, 1), 1.0, 1, 0))
+    val = gen_problem_set(83, 1, 3, 3, 2,
+                          exclude_hashes={p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(k=2, max_steps=1, batch_size=1, keepout_max=2)
+    with pytest.raises(ContractViolation, match="expert records"):
+        tr.train(recs, tcfg, CFG, eval3, val)
 
 
 def test_train_deterministic_given_seed(eval3):
@@ -287,10 +295,8 @@ def test_train_deterministic_given_seed(eval3):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(78, 3, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, val_size=3,
-                          max_steps=6, val_interval=3, patience=5,
-                          n_rows=3, n_cols=3, keepout_max=2, self_batch=2,
-                          seed=9)
+                          lambda_eff=10.0, k=2, max_steps=6, val_interval=3,
+                          patience=5, keepout_max=2, self_batch=2, seed=9)
     a = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=4)
     b = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=4)
     assert a.log_rows == b.log_rows
@@ -299,9 +305,8 @@ def test_train_deterministic_given_seed(eval3):
 
 
 def test_self_problem_stream_same_draws_and_bounded(run_with_timeout):
-    cfg = tr.TrainConfig(n_rows=2, n_cols=2, keepout_max=1)
     excluded = {p.canonical_hash() for p in gen_problem_set(0, 10, 2, 2, 1)}
-    stream = tr._self_problem_stream(cfg, excluded, make_rng(3))
+    stream = tr._self_problem_stream((2, 2), 1, excluded, make_rng(3))
     drawn = [next(stream) for _ in range(20)]
     rng = make_rng(3)
     expect = []
@@ -311,7 +316,7 @@ def test_self_problem_stream_same_draws_and_bounded(run_with_timeout):
             expect.append(p)
     assert drawn == expect
     every = {p.canonical_hash() for p in gen_problem_set(0, 16, 2, 2, 1)}
-    stream = tr._self_problem_stream(cfg, every, make_rng(3))
+    stream = tr._self_problem_stream((2, 2), 1, every, make_rng(3))
     assert isinstance(run_with_timeout(lambda: next(stream)),
                       ContractViolation)
 
@@ -322,7 +327,7 @@ def test_train_rejects_dataset_smaller_than_batch(eval3):
     val = gen_problem_set(80, 2, 3, 3, 2, exclude_hashes=hashes)
     # 4 records with 4 reordered copies each augment to 20 rows < 25
     tcfg = tr.TrainConfig(batch_size=25, permutations=4, lambda_eff=0.0, k=2,
-                          max_steps=1, n_rows=3, n_cols=3, keepout_max=2)
+                          max_steps=1, keepout_max=2)
     with pytest.raises(ContractViolation, match="batch size"):
         tr.train(recs, tcfg, CFG, eval3, val)
 
@@ -349,8 +354,9 @@ def _reference_train(records, tcfg, mcfg, evaluator, val, order_bias_samples):
     is validated."""
     data = tr.augment(records, tcfg.permutations, seed=tcfg.seed)
     rng = make_rng(tcfg.seed + 1)
+    board = (records[0].problem.n_rows, records[0].problem.n_cols)
     stream = tr._self_problem_stream(
-        tcfg, {p.canonical_hash() for p in val}, rng)
+        board, tcfg.keepout_max, {p.canonical_hash() for p in val}, rng)
     store = pol.init_params(mcfg)
     opt = tr.Adam(store, tcfg.learning_rate)
     order, rows = [], []
@@ -387,9 +393,8 @@ def test_train_shared_encode_matches_snapshot_loop(eval3):
     # sampled actions; 128 self-term problems per step make such a change
     # show in every seed tried (0-7).
     tcfg = tr.TrainConfig(learning_rate=1e-2, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, val_size=3, max_steps=3,
-                          val_interval=1, patience=10, n_rows=3, n_cols=3,
-                          keepout_max=2, self_batch=128, seed=4)
+                          lambda_eff=10.0, k=2, max_steps=3, val_interval=1,
+                          patience=10, keepout_max=2, self_batch=128, seed=4)
     res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=8)
     store, rows = _reference_train(recs, tcfg, CFG, eval3, val, 8)
     assert res.steps_run == 3
@@ -445,7 +450,7 @@ def test_self_term_step_runs_three_encodes(eval3, monkeypatch):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(82, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0, k=2,
-                          max_steps=2, val_interval=10, n_rows=3, n_cols=3,
+                          max_steps=2, val_interval=10,
                           keepout_max=2, self_batch=2)
     tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=2)
     assert per_step == [3, 3]
