@@ -6,6 +6,7 @@ search on a 10x10 board, with CSV and SVG outputs.
 """
 
 import argparse
+import os
 import pathlib
 
 import numpy as np
@@ -26,24 +27,25 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    ev = Evaluator(pdn.chip_only_config(10, 10))
     probs = gen_problem_set(args.seed, args.problems, 10, 10, 15)
 
     budgets = [20, 60, 100, 200, 500]
     ga_cfgs = {20: (10, 2, 2), 60: (20, 3, 4), 100: (20, 5, 4),
                200: (20, 10, 4), 500: (50, 10, 10)}
     rows = []
-    for m in budgets:
-        pop, gens, elites = ga_cfgs[m]
-        ga = np.mean([ga_solve(p, args.k,
-                               GaConfig(pop, gens, elites,
-                                        seed=args.seed + i), ev).score
-                      for i, p in enumerate(probs)])
-        rs = np.mean([random_search(p, args.k, m, ev,
-                                    seed=args.seed + i).score
-                      for i, p in enumerate(probs)])
-        rows.append((m, ga, rs))
-        print(f"M={m:>4}  GA {ga:.4f}  RS {rs:.4f}")
+    sim = pdn.chip_only_config(10, 10)
+    with Evaluator(sim, threads=os.cpu_count() or 1) as ev:
+        for m in budgets:
+            pop, gens, elites = ga_cfgs[m]
+            ga = np.mean([ga_solve(p, args.k,
+                                   GaConfig(pop, gens, elites,
+                                            seed=args.seed + i), ev).score
+                          for i, p in enumerate(probs)])
+            rs = np.mean([random_search(p, args.k, m, ev,
+                                        seed=args.seed + i).score
+                          for i, p in enumerate(probs)])
+            rows.append((m, ga, rs))
+            print(f"M={m:>4}  GA {ga:.4f}  RS {rs:.4f}")
 
     with open(out / "scores.csv", "w") as fh:
         fh.write("budget,ga_mean,rs_mean\n")

@@ -13,11 +13,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import pdn, policy as pol, training
-from .env import (Evaluator, Problem, gen_problem_set, read_problem_file,
-                  write_problem_file)
+from .env import (PARALLEL_MIN_PORTS, Evaluator, Problem, gen_problem_set,
+                  read_problem_file, write_problem_file)
 from .errors import ContractViolation, NumericFailure
 from .report import BenchReport, impedance_artifacts, svg_placement_heatmap
 from .search import (GaConfig, build_expert_dataset, ga_solve, random_search,
@@ -49,16 +48,6 @@ def _board_of(problems) -> tuple:
     return boards.pop()
 
 
-def _parallel_scores(evaluator: Evaluator, problems, placements,
-                     threads: int) -> list:
-    """Per-problem objectives, order-preserving regardless of thread count."""
-    evaluator.bare_profile(problems[0])  # warm the shared sweep cache
-    if threads <= 1:
-        return [evaluator.evaluate(p, a) for p, a in zip(problems, placements)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluator.evaluate, problems, placements))
-
-
 # --- gen ----------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
@@ -82,13 +71,13 @@ def cmd_gen(args) -> int:
         if "train" not in splits:
             raise ContractViolation("--expert requires --train > 0")
         sim = _sim_config(args.sim, args.rows, args.cols)
-        ev = Evaluator(sim)
         ga = GaConfig(args.ga_population, args.ga_generations, args.ga_elites,
                       seed=args.seed)
         path = os.path.join(args.out, "expert_dataset.jsonl")
-        build_expert_dataset(path, len(splits["train"]), args.k, ga, ev,
-                             problem_seed=0, n_rows=args.rows,
-                             n_cols=args.cols, problems=splits["train"])
+        with Evaluator(sim, args.threads) as ev:
+            build_expert_dataset(path, len(splits["train"]), args.k, ga, ev,
+                                 problem_seed=0, n_rows=args.rows,
+                                 n_cols=args.cols, problems=splits["train"])
         print(f"wrote {path} ({ev.count} simulator calls, "
               f"{time.time() - t0:.1f}s)")
     return EXIT_OK
@@ -118,10 +107,10 @@ def cmd_train(args) -> int:
     val_problems = read_problem_file(args.val_problems)
     rows, cols = _board_of([r.problem for r in records])
     tcfg, mcfg = _train_configs(args)
-    ev = Evaluator(_sim_config(args.sim, rows, cols))
     t0 = time.time()
-    result = training.train(records, tcfg, mcfg, ev, val_problems,
-                            diagnostics_path=args.diagnostics)
+    with Evaluator(_sim_config(args.sim, rows, cols), args.threads) as ev:
+        result = training.train(records, tcfg, mcfg, ev, val_problems,
+                                diagnostics_path=args.diagnostics)
     meta = {"best_val": result.best_val, "steps_run": result.steps_run,
             "train_config": tcfg.to_dict(), "wall_time_s": time.time() - t0,
             "seed": args.seed}
@@ -139,12 +128,13 @@ def cmd_eval(args) -> int:
     policy, meta = pol.load_policy(args.checkpoint)
     problems = read_problem_file(args.problems)
     rows, cols = _board_of(problems)
-    ev = Evaluator(_sim_config(args.sim, rows, cols))
+    sim = _sim_config(args.sim, rows, cols)
     t0 = time.time()
     outs = pol.rollout_batch(problems, policy.store, policy.cfg,
                              "greedy", args.k)
     placements = [p for p, _ in outs]
-    scores = _parallel_scores(ev, problems, placements, args.threads)
+    with Evaluator(sim, args.threads) as ev:
+        scores = ev.evaluate_all(problems, placements)
     report = BenchReport(problems)
     report.add_method("devformer-greedy", 1, args.k, placements, scores)
     report.metadata = {"checkpoint": args.checkpoint,
@@ -170,7 +160,8 @@ def greedy_sim_placement(problem: Problem, k_max: int,
         feas = [a for a in problem.allowed_ports if a not in chosen]
         if not feas:
             break
-        scores = [evaluator.evaluate(problem, chosen + [a]) for a in feas]
+        scores = evaluator.evaluate_all([problem] * len(feas),
+                                        [chosen + [a] for a in feas])
         chosen.append(_lookahead_pick(feas, scores))
     return chosen
 
@@ -211,17 +202,18 @@ def min_k_for_target(problem: Problem, target: float, k_max: int,
 def cmd_min_k(args) -> int:
     problems = read_problem_file(args.problems)
     rows, cols = _board_of(problems)
-    ev = Evaluator(_sim_config(args.sim, rows, cols))
+    sim = _sim_config(args.sim, rows, cols)
     policy = None
     if args.checkpoint:
         policy, _ = pol.load_policy(args.checkpoint)
     results = []
-    for i, prob in enumerate(problems):
-        rec = min_k_for_target(prob, args.target, args.k_max, ev, policy)
-        rec["problem"] = prob.to_dict()
-        results.append(rec)
-        status = f"K={rec['min_k']}" if rec["met"] else "unmet"
-        print(f"problem {i}: {status} (J={rec['achieved']:.6f})")
+    with Evaluator(sim, args.threads) as ev:
+        for i, prob in enumerate(problems):
+            rec = min_k_for_target(prob, args.target, args.k_max, ev, policy)
+            rec["problem"] = prob.to_dict()
+            results.append(rec)
+            status = f"K={rec['min_k']}" if rec["met"] else "unmet"
+            print(f"problem {i}: {status} (J={rec['achieved']:.6f})")
     doc = {"target": args.target, "k_max": args.k_max, "results": results,
            "seed": args.seed,
            "method": "policy" if policy else "greedy-sim"}
@@ -237,7 +229,7 @@ def cmd_min_k(args) -> int:
 def cmd_baselines(args) -> int:
     problems = read_problem_file(args.problems)
     rows, cols = _board_of(problems)
-    ev = Evaluator(_sim_config(args.sim, rows, cols))
+    ev = Evaluator(_sim_config(args.sim, rows, cols), args.threads)
     ev.bare_profile(problems[0])
     report = BenchReport(problems)
     t0 = time.time()
@@ -247,16 +239,17 @@ def cmd_baselines(args) -> int:
         report.add_method(label, recs[0].budget, args.k,
                           [r.placement for r in recs], [r.score for r in recs])
 
-    for m in args.rs_budgets:
-        run_method(f"rs-{m}",
-                   lambda i, p, m=m: random_search(p, args.k, m, ev,
-                                                   seed=args.seed + i))
-    for pop, gens, elites in args.ga_presets:
-        cfg = GaConfig(pop, gens, elites)
-        run_method(f"ga-{cfg.budget}",
-                   lambda i, p, c=cfg: ga_solve(
-                       p, args.k, dataclasses.replace(c, seed=args.seed + i),
-                       ev))
+    with ev:  # one search at a time; each scores on args.threads threads
+        for m in args.rs_budgets:
+            run_method(f"rs-{m}",
+                       lambda i, p, m=m: random_search(p, args.k, m, ev,
+                                                       seed=args.seed + i))
+        for pop, gens, elites in args.ga_presets:
+            cfg = GaConfig(pop, gens, elites)
+            run_method(f"ga-{cfg.budget}",
+                       lambda i, p, c=cfg: ga_solve(
+                           p, args.k,
+                           dataclasses.replace(c, seed=args.seed + i), ev))
     report.metadata = {"seed": args.seed, "k": args.k,
                        "simulator_calls": ev.count,
                        "wall_time_s": time.time() - t0}
@@ -272,9 +265,10 @@ def cmd_baselines(args) -> int:
 def cmd_report(args) -> int:
     report = BenchReport.load(args.report)
     rows, cols = _board_of(report.problems)
-    ev = Evaluator(_sim_config(args.sim, rows, cols))
+    ev = Evaluator(_sim_config(args.sim, rows, cols), args.threads)
     if args.verify:
-        report.verify(ev)
+        with ev:
+            report.verify(ev)
         print("verified: all stored scores re-derive by re-simulation")
     os.makedirs(args.out, exist_ok=True)
     report.write_csv(os.path.join(args.out, "scores.csv"))
@@ -312,9 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="threads eval scores problems on (the other "
-                            "commands use one); results do not depend on "
-                            "this value")
+                       help="threads that eval, min-k, baselines, gen "
+                            "--expert and report --verify score a batch of "
+                            "placements on, when a placement has at least "
+                            f"{PARALLEL_MIN_PORTS} ports (fewer run on one "
+                            "thread); train runs on one; results do not "
+                            "depend on this value")
         p.add_argument("--sim", choices=("chip", "paper"), default="chip")
 
     g = sub.add_parser("gen", help="generate problem splits and expert labels")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,6 +167,15 @@ def decap_impedance(d: DecapModel, f_hz) -> np.ndarray:
         raise ContractViolation("frequency must be positive")
     w = TWO_PI * f
     return d.r_ohm + 1j * (w * d.l_henry - 1.0 / (w * d.c_farad))
+
+
+@lru_cache(maxsize=16)
+def _decap_impedance_on(d: DecapModel, grid: FreqGrid) -> np.ndarray:
+    """decap_impedance(d, grid.points), computed once per (d, grid);
+    read-only, since every caller shares it."""
+    zd = decap_impedance(d, grid.points)
+    zd.flags.writeable = False
+    return zd
 
 
 def _cell_centers(grid: GridSpec, offset_x: float, offset_y: float):
@@ -534,8 +543,9 @@ def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,
     pi = z_bare.port_index(probe)
     if not decap_ports:
         return np.abs(z_bare.z[:, pi, pi])
-    ci, counts = np.unique([z_bare.port_index(p) for p in decap_ports],
-                           return_counts=True)
+    per_row = np.bincount([z_bare.port_index(p) for p in decap_ports])
+    ci = np.flatnonzero(per_row)
+    counts = per_row[ci]
     n_freq, nd = z_bare.z.shape[:2]
     m = len(ci)
     zpp = z_bare.z[:, pi, pi]
@@ -544,8 +554,7 @@ def attach_decaps(z_bare: FrequencySweepZ, probe: int, decap_ports,
     flat = (ci[:, None] * nd + ci[None, :]).ravel()
     a = np.take(z_bare.z.reshape(n_freq, nd * nd), flat, axis=1)
     f_hz = z_bare.grid.points
-    zd = decap_impedance(d, f_hz)
-    a[:, ::m + 1] += zd[:, None] / counts
+    a[:, ::m + 1] += _decap_impedance_on(d, z_bare.grid)[:, None] / counts
     a = a.reshape(n_freq, m, m)
     b = zcp[:, :, None]
     try:

@@ -136,9 +136,9 @@ class BenchReport:
     def verify(self, evaluator: Evaluator) -> None:
         """Re-simulate every stored placement; raise on any mismatch."""
         for row in self.rows:
-            for prob, placement, score in zip(self.problems, row.placements,
-                                              row.scores):
-                fresh = evaluator.evaluate(prob, placement)
+            fresh_scores = evaluator.evaluate_all(self.problems,
+                                                  row.placements)
+            for fresh, score in zip(fresh_scores, row.scores):
                 if fresh != score:
                     raise ContractViolation(
                         f"stored score {score!r} does not re-derive "

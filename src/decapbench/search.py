@@ -91,10 +91,10 @@ def random_search(problem: Problem, k: int, m: int, evaluator: Evaluator,
     if m < 1:
         raise ContractViolation("m must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
+    cands = [_random_placement(problem, k, rng) for _ in range(m)]
+    scores = evaluator.evaluate_all([problem] * m, cands)
     best, best_score = None, -np.inf
-    for _ in range(m):
-        cand = _random_placement(problem, k, rng)
-        score = evaluator.evaluate(problem, cand)
+    for cand, score in zip(cands, scores):
         if score > best_score:
             best, best_score = cand, score
     return ExpertRecord(problem, best, best_score, m, seed)
@@ -165,7 +165,7 @@ def ga_solve(problem: Problem, k: int, cfg: GaConfig,
     pop = [_random_placement(problem, k, rng) for _ in range(cfg.population)]
     best, best_score = None, -np.inf
     for _ in range(cfg.generations):
-        scores = [evaluator.evaluate(problem, ind) for ind in pop]
+        scores = evaluator.evaluate_all([problem] * len(pop), pop)
         order = sorted(range(len(pop)), key=lambda i: (-scores[i], i))
         if scores[order[0]] > best_score:
             best, best_score = pop[order[0]], scores[order[0]]

@@ -4,6 +4,7 @@ import os
 import pathlib
 import shlex
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from decapbench import pdn
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                             LOOKAHEAD_TIE_RTOL, _lookahead_pick, build_parser,
                             greedy_sim_placement, main, min_k_for_target)
-from decapbench.env import Problem, read_problem_file, write_problem_file
+from decapbench.env import (PARALLEL_MIN_PORTS, Problem, gen_problem_set,
+                            read_problem_file, write_problem_file)
 
 
 def run(*argv):
@@ -90,18 +92,86 @@ def test_eval_and_report_verify(workdir, checkpoint, tmp_path):
     assert any(f.endswith("_board.svg") for f in files)
 
 
-def test_eval_threads_do_not_change_results(workdir, checkpoint):
-    outs = []
-    for threads in (1, 4):
-        out = workdir / f"eval_t{threads}.json"
-        code = run("eval", "--checkpoint", checkpoint,
-                   "--problems", workdir / "test_problems.json",
-                   "--k", 2, "--threads", threads, "--out", out)
-        assert code == EXIT_OK
-        doc = json.loads(out.read_text())
-        doc["metadata"] = None
-        outs.append(doc)
-    assert outs[0] == outs[1]
+@pytest.fixture(scope="module")
+def board5(tmp_path_factory):
+    """Two 5x5 problems with room for placements above the thread gate."""
+    path = tmp_path_factory.mktemp("board5") / "problems.json"
+    write_problem_file(path, gen_problem_set(8, 2, 5, 5, 2))
+    return path
+
+
+def test_eval_threads_do_not_change_results(workdir, checkpoint, board5,
+                                            tmp_path):
+    # K=2 runs below the thread gate, PARALLEL_MIN_PORTS above it.
+    for problems, k in ((workdir / "test_problems.json", 2),
+                        (board5, PARALLEL_MIN_PORTS)):
+        outs = []
+        for threads in (1, 2, 4):
+            out = tmp_path / f"eval_k{k}_t{threads}.json"
+            code = run("eval", "--checkpoint", checkpoint,
+                       "--problems", problems, "--k", k,
+                       "--threads", threads, "--out", out)
+            assert code == EXIT_OK
+            doc = json.loads(out.read_text())
+            doc["metadata"] = None
+            outs.append(doc)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def _outputs_at_threads(threads, tmp_path, board5):
+    """gen --expert, baselines and min-k above the thread gate at one
+    --threads value: the bytes each writes, baselines without its wall
+    time."""
+    out = tmp_path / f"t{threads}"
+    k = PARALLEL_MIN_PORTS
+    common = ("--threads", threads, "--seed", 3)
+    before = threading.active_count()
+    assert run("gen", *common, "--rows", 5, "--cols", 5, "--train", 2,
+               "--val", 0, "--test", 0, "--keepout-max", 2, "--expert",
+               "--k", k, "--ga-population", 4, "--ga-generations", 2,
+               "--ga-elites", 1, "--out", out) == EXIT_OK
+    assert run("baselines", *common, "--problems", board5, "--k", k,
+               "--rs-budgets", 6, "--ga-presets", "4:2:1",
+               "--out", out / "baselines.json") == EXIT_OK
+    assert run("min-k", *common, "--problems", board5, "--target", 1e9,
+               "--k-max", k + 1, "--out", out / "min_k.json") == EXIT_OK
+    assert threading.active_count() == before
+    baselines = json.loads((out / "baselines.json").read_text())
+    del baselines["metadata"]["wall_time_s"]
+    return ((out / "expert_dataset.jsonl").read_bytes(),
+            (out / "min_k.json").read_bytes(), baselines)
+
+
+def test_search_commands_do_not_depend_on_thread_count(board5, tmp_path):
+    assert _outputs_at_threads(2, tmp_path, board5) == \
+        _outputs_at_threads(1, tmp_path, board5)
+
+
+def test_threaded_failure_matches_one_thread(board5, tmp_path, capsys,
+                                             monkeypatch):
+    # Every termination fails its residual check; the first search's first
+    # placement fails first at any thread count, and no worker outlives
+    # the command.
+    monkeypatch.setattr(pdn, "TERMINATION_RESIDUAL_TOL", -1.0)
+    errors = []
+    for threads in (1, 2):
+        before = threading.active_count()
+        code = run("baselines", "--threads", threads, "--problems", board5,
+                   "--k", PARALLEL_MIN_PORTS, "--rs-budgets", 6,
+                   "--ga-presets", "4:2:1", "--out", tmp_path / "b.json")
+        assert code == EXIT_NUMERIC
+        assert threading.active_count() == before
+        errors.append(capsys.readouterr().err)
+    assert "ill-conditioned decap termination" in errors[0]
+    assert errors[1] == errors[0]
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_exit_code_threads_below_one(board5, tmp_path, capsys, threads):
+    code = run("baselines", "--threads", threads, "--problems", board5,
+               "--k", 2, "--out", tmp_path / "b.json")
+    assert code == EXIT_CONTRACT
+    assert "threads must be >= 1" in capsys.readouterr().err
 
 
 def test_baselines_report(workdir):

@@ -1,5 +1,7 @@
 import json
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from decapbench import env
 from decapbench.env import (Evaluator, Problem, encode_features, gen_problem,
                             gen_problem_set, validate_placement)
-from decapbench.errors import ContractViolation, check_schema
+from decapbench.errors import ContractViolation, NumericFailure, check_schema
 
 
 def test_problem_contracts():
@@ -179,6 +181,89 @@ def test_evaluator_shared_between_threads(eval3, monkeypatch):
     assert len(sweeps) == 1
     assert fresh.count == 400
     assert scores == [serial[pl] for pl in placements]
+
+
+def _evaluator_threads() -> list:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("evaluator")]
+
+
+def _above_gate_placements(n: int) -> list:
+    """n distinct placements of PARALLEL_MIN_PORTS ports on a 5x5 board
+    with the probe at port 0."""
+    rng = np.random.Generator(np.random.PCG64(4))
+    return [tuple(int(a) for a in rng.permutation(np.arange(1, 25))[
+        :env.PARALLEL_MIN_PORTS]) for _ in range(n)]
+
+
+def test_evaluate_all_stress_matches_the_loop(eval5, monkeypatch):
+    # More workers than cores and a short switch interval: every score
+    # lands at its own index and each is one evaluate() call, looked up on
+    # the instance when it is made.
+    p = Problem(5, 5, 0, frozenset())
+    placements = _above_gate_placements(60)
+    serial = [eval5.evaluate(p, a) for a in placements]
+    calls = []
+    evaluate = Evaluator.evaluate
+
+    def counted(self, problem, placement):
+        calls.append(placement)
+        return evaluate(self, problem, placement)
+
+    monkeypatch.setattr(Evaluator, "evaluate", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Evaluator(eval5.config, threads=8) as ev:
+            scores = ev.evaluate_all([p] * len(placements), placements)
+            assert ev.count == len(placements)
+    finally:
+        sys.setswitchinterval(interval)
+    assert scores == serial
+    assert sorted(calls) == sorted(placements)
+    assert not _evaluator_threads()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_evaluate_all_raises_the_first_failure_in_input_order(
+        eval5, monkeypatch, threads):
+    # Placement 3 fails slowly and placement 7 at once, so a worker meets
+    # 7's failure first; the call still raises 3's, like the loop.
+    p = Problem(5, 5, 0, frozenset())
+    placements = _above_gate_placements(12)
+    evaluate = Evaluator.evaluate
+
+    def failing(self, problem, placement):
+        i = placements.index(tuple(placement))
+        if i == 3:
+            time.sleep(0.05)
+        if i in (3, 7):
+            raise NumericFailure(f"placement {i} failed")
+        return evaluate(self, problem, placement)
+
+    monkeypatch.setattr(Evaluator, "evaluate", failing)
+    with Evaluator(eval5.config, threads=threads) as ev:
+        with pytest.raises(NumericFailure, match="placement 3 failed"):
+            ev.evaluate_all([p] * len(placements), placements)
+    assert not _evaluator_threads()
+
+
+def test_evaluate_all_below_the_gate_starts_no_worker(eval5):
+    p = Problem(5, 5, 0, frozenset())
+    short = [a[:env.PARALLEL_MIN_PORTS - 1]
+             for a in _above_gate_placements(8)]
+    with Evaluator(eval5.config, threads=4) as ev:
+        scores = ev.evaluate_all([p] * len(short), short)
+        assert not _evaluator_threads()
+        assert scores == [eval5.evaluate(p, a) for a in short]
+        ev.evaluate_all([p] * 8, _above_gate_placements(8))
+        assert _evaluator_threads()
+    assert not _evaluator_threads()
+
+
+def test_evaluator_rejects_fewer_than_one_thread(eval5):
+    with pytest.raises(ContractViolation, match="threads must be >= 1"):
+        Evaluator(eval5.config, threads=0)
 
 
 def test_problem_file_round_trip(tmp_path):

@@ -137,6 +137,24 @@ def per_port_attach_decaps(sweep, probe, decap_ports, decap):
     return np.abs(z_probe)
 
 
+def unique_rows_attach_decaps(sweep, probe, decap_ports, decap):
+    """|Z| at the probe by attach_decaps' per-node formula as first
+    written: rows and counts from np.unique, the decap impedance computed
+    afresh on every call."""
+    pi = sweep.port_index(probe)
+    ci, counts = np.unique([sweep.port_index(p) for p in decap_ports],
+                           return_counts=True)
+    n_freq, nd = sweep.z.shape[:2]
+    m = len(ci)
+    flat = (ci[:, None] * nd + ci[None, :]).ravel()
+    a = np.take(sweep.z.reshape(n_freq, nd * nd), flat, axis=1)
+    a[:, ::m + 1] += pdn.decap_impedance(decap, sweep.grid.points)[:, None] \
+        / counts
+    x = np.linalg.solve(a.reshape(n_freq, m, m), sweep.z[:, ci, pi][:, :, None])
+    z_probe = sweep.z[:, pi, pi] - (sweep.z[:, pi, ci][:, None, :] @ x)[:, 0, 0]
+    return np.abs(z_probe)
+
+
 # --- hand-solved cases ----------------------------------------------------------
 
 def test_single_cell_impedance_closed_form():
@@ -244,6 +262,23 @@ def test_attach_decaps_chip_only_bit_identical_to_per_port_form(rows, cols):
         assert np.array_equal(
             pdn.attach_decaps(sweep, probe, ports, config.decap),
             per_port_attach_decaps(sweep, probe, ports, config.decap))
+
+
+@pytest.mark.parametrize("config", [
+    pdn.chip_only_config(3, 3), pdn.chip_only_config(5, 5),
+    pdn.paper_scale_config()], ids=["chip3x3", "chip5x5", "paper"])
+def test_attach_decaps_bit_identical_to_unique_rows_form(config):
+    # Rows by np.bincount and the cached decap impedance change no bit.
+    chip = config.stack.chip
+    n = chip.n_cells
+    sweep = pdn.solve_z_ports(config.stack, range(n), config.grid)
+    rng = np.random.Generator(np.random.PCG64(5))
+    for _ in range(20):
+        probe, *ports = (int(p) for p in rng.permutation(n)[
+            :int(rng.integers(2, min(n, 21) + 1))])
+        assert np.array_equal(
+            pdn.attach_decaps(sweep, probe, ports, config.decap),
+            unique_rows_attach_decaps(sweep, probe, ports, config.decap))
 
 
 def test_attach_no_decaps_returns_bare_profile():

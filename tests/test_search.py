@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decapbench.env import Problem, gen_problem_set
+from decapbench.cli import greedy_sim_placement
+from decapbench.env import (PARALLEL_MIN_PORTS, Evaluator, Problem,
+                            gen_problem_set)
 from decapbench.errors import ContractViolation
+from decapbench.report import BenchReport
 from decapbench.search import (ExpertRecord, GaConfig, build_expert_dataset,
                                crossover, exhaustive_best, ga_solve,
                                mutate_dedup, random_search,
@@ -74,6 +77,28 @@ def test_ga_best_monotone_per_generation(eval3):
                                     elites=2, seed=1), eval3).score
             for g in (1, 2, 3, 4)]
     assert all(b2 >= b1 - 1e-15 for b1, b2 in zip(best, best[1:]))
+
+
+@pytest.mark.parametrize("k", [4, PARALLEL_MIN_PORTS])
+def test_searches_do_not_depend_on_thread_count(eval5, k):
+    # Below and above the gate: RS, GA, the lookahead and verify return
+    # the same results after the same number of simulator calls.
+    probs = gen_problem_set(6, 2, 5, 5, 2)
+    outcomes = []
+    for threads in (1, 2, 4):
+        with Evaluator(eval5.config, threads=threads) as ev:
+            rs = [random_search(p, k, 10, ev, seed=i)
+                  for i, p in enumerate(probs)]
+            ga = [ga_solve(p, k, GaConfig(6, 2, 2, seed=i), ev)
+                  for i, p in enumerate(probs)]
+            look = [greedy_sim_placement(p, k + 1, ev) for p in probs]
+            report = BenchReport(probs)
+            for label, recs in (("rs", rs), ("ga", ga)):
+                report.add_method(label, 1, k, [r.placement for r in recs],
+                                  [r.score for r in recs])
+            report.verify(ev)
+            outcomes.append(([r.to_dict() for r in rs + ga], look, ev.count))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 def test_exhaustive_best_is_global_optimum(eval3):
