@@ -4,9 +4,11 @@ The op set is deliberately closed: exactly what the placement policy needs
 (linear maps, multi-head attention, batch norm, masked log-softmax,
 elementwise ops) plus a finite-difference gradient checker. Attention
 probabilities and the ReLU feed-forward block are single nodes that keep
-only what their backward reads. All data is float64 and all reductions
-use numpy's fixed order, so two identical backward passes produce
-bit-identical gradients.
+only what their backward reads. Data is float32 or float64: an op computes
+in its inputs' dtype, a node's gradient is kept in its own dtype, and
+cast() is the one op that changes dtype. Parameters, running statistics
+and checkpoints are float64. All reductions use numpy's fixed order, so
+two identical backward passes produce bit-identical gradients.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else \
+            np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -112,13 +116,14 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    """Add g into t.grad. The first gradient is stored as a copy: backward
-    closures may hand one array to several operands (add gives both the
-    same g), so owning g itself could alias two .grad arrays."""
+    """Add g into t.grad, which has t's dtype. The first gradient is stored
+    as a copy: backward closures may hand one array to several operands
+    (add gives both the same g), so owning g itself could alias two .grad
+    arrays."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -154,10 +159,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)  # a numpy float64 scalar would promote float32 data
     data = a.data * c
 
     def backward(g):
         _accum(a, g * c)
+
+    return _make(data, (a,), backward)
+
+
+def cast(a: Tensor, dtype) -> Tensor:
+    """a's data in dtype; the backward hands a its gradient in a's dtype."""
+    data = a.data.astype(dtype)
+
+    def backward(g):
+        _accum(a, g)
 
     return _make(data, (a,), backward)
 
@@ -349,6 +365,7 @@ def attention_probs(qh: Tensor, kh: Tensor, c: float) -> Tensor:
     """
     if qh.shape[:2] != kh.shape[:2] or qh.shape[3] != kh.shape[3]:
         raise ContractViolation("attention_probs: shape mismatch")
+    c = float(c)
     p = qh.data @ np.swapaxes(kh.data, -1, -2)
     p *= c
     p -= np.max(p, axis=-1, keepdims=True)
@@ -395,7 +412,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: dict,
     """Per-feature normalization over all leading axes of x (..., d).
 
     running holds '<prefix>.mean' and '<prefix>.var' buffers; training mode
-    normalizes with batch statistics and (optionally) updates them.
+    normalizes with batch statistics in x's dtype and (optionally) updates
+    the buffers in theirs (float64); eval mode normalizes with the buffers
+    cast to x's dtype.
     """
     d = x.shape[-1]
     axes = tuple(range(x.data.ndim - 1))
@@ -407,10 +426,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: dict,
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         if update_running:
-            running[prefix + ".mean"] = (1 - momentum) * rm + momentum * mu
-            running[prefix + ".var"] = (1 - momentum) * rv + momentum * var
+            running[prefix + ".mean"] = (1 - momentum) * rm + momentum * \
+                np.asarray(mu, dtype=rm.dtype)
+            running[prefix + ".var"] = (1 - momentum) * rv + momentum * \
+                np.asarray(var, dtype=rv.dtype)
     else:
-        mu, var = rm, rv
+        mu = np.asarray(rm, dtype=x.data.dtype)
+        var = np.asarray(rv, dtype=x.data.dtype)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv_std
     data = gamma.data * xhat + beta.data

@@ -16,6 +16,12 @@ teacher forcing every step's previous port is known up front, so
 decode_log_prob() decodes all K steps from a given encoding in one pass
 (sequence_log_prob() encodes, then calls it); rollouts call the same two
 functions one step at a time.
+
+ModelConfig.float32 (the paper preset) runs the forward and backward
+passes in float32. The parameters stay float64 masters: a forward reads
+them through _params(), which casts each one once, and the cast hands its
+gradient back in float64. The pointer logits are cast to float64 before
+the log-softmax, so log-probabilities and their sums are float64.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ class ModelConfig:
     n_heads: int = 8
     ablated: bool = False  # no PPE, PCN or RCN: the architecture ablation
     init_seed: int = 0
+    float32: bool = True   # compute in float32 on float64 master parameters
 
     def __post_init__(self):
         if min(self.d_model, self.ff_dim, self.n_heads) < 1:
@@ -69,7 +76,8 @@ MODEL_CONFIG_SCHEMA = {
 
 
 def toy_config(**overrides) -> ModelConfig:
-    base = dict(n_layers=1, d_model=32, ff_dim=64, n_heads=4, init_seed=0)
+    base = dict(n_layers=1, d_model=32, ff_dim=64, n_heads=4, init_seed=0,
+                float32=False)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -119,16 +127,44 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
     return store
 
 
+class _Float32Params:
+    """One forward's float32 reading of a ParamStore. Each parameter is
+    cast on first use, once; the buffers are the store's own."""
+
+    def __init__(self, store: ad.ParamStore):
+        self.store, self.buffers, self._cast = store, store.buffers, {}
+
+    def __getitem__(self, name: str) -> ad.Tensor:
+        t = self._cast.get(name)
+        if t is None:
+            t = self._cast[name] = ad.cast(self.store[name], np.float32)
+        return t
+
+
+def _params(store, cfg: ModelConfig):
+    """The parameters a forward computes with: store itself in float64,
+    else a float32 view of it (a view is passed through unchanged)."""
+    if not cfg.float32 or isinstance(store, _Float32Params):
+        return store
+    return _Float32Params(store)
+
+
+def _inputs(arrays, cfg: ModelConfig) -> ad.Tensor:
+    return ad.Tensor(np.stack(arrays).astype(
+        np.float32 if cfg.float32 else np.float64, copy=False))
+
+
 def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
            training: bool = False, update_running: bool = True) -> ad.Tensor:
     """Per-port embeddings, shape (B, N, d). Problems must share a board."""
     if len({(p.n_rows, p.n_cols) for p in problems}) != 1:
         raise ContractViolation("batch must share one board size")
-    feats = np.stack([encode_features(p) for p in problems])
-    h = ad.linear(ad.Tensor(feats), store["node.w"], store["node.b"])
+    store = _params(store, cfg)
+    feats = _inputs([encode_features(p) for p in problems], cfg)
+    h = ad.linear(feats, store["node.w"], store["node.b"])
     if not cfg.ablated:
-        ppe = np.stack([ppe_features(p) for p in problems])
-        h = h + ad.linear(ad.Tensor(ppe), store["ppe.w"], store["ppe.b"])
+        ppe = _inputs([ppe_features(p) for p in problems], cfg)
+        h = h + ad.linear(ppe, store["ppe.w"], store["ppe.b"])
     for layer in range(cfg.n_layers):
         pre = f"enc{layer}"
         a = ad.mha(h, h, h, store[f"{pre}.wq"], store[f"{pre}.wk"],
@@ -173,6 +209,7 @@ def decoder_cache(h: ad.Tensor, problems, store: ad.ParamStore,
     neither network, and its query is the mean port embedding alone.
     """
     bsz, _, d = h.shape
+    store = _params(store, cfg)
     if cfg.ablated:
         fixed, table = ad.mean(h, axis=1, keepdims=True), None
     else:
@@ -198,6 +235,7 @@ def decode(cache: DecoderCache, prev_ports: np.ndarray, masks: np.ndarray,
     if not masks.any(axis=-1).all():
         raise ContractViolation("no feasible port left")
     bsz, t = prev_ports.shape
+    store = _params(store, cfg)
     query = cache.fixed
     if cache.table is not None:
         r = _mlp(ad.take_rows(cache.table, prev_ports), store, "rcn1", "rcn2")
@@ -209,6 +247,8 @@ def decode(cache: DecoderCache, prev_ports: np.ndarray, masks: np.ndarray,
     glimpse = ad.attend(qh, cache.kh, cache.vh, store["dec.wo"])
     logits = ad.scale(ad.matmul(glimpse, cache.keys),
                       1.0 / np.sqrt(cfg.d_model))
+    if cfg.float32:
+        logits = ad.cast(logits, np.float64)
     return ad.masked_log_softmax(logits, masks)
 
 
@@ -216,6 +256,7 @@ def sequence_log_prob(problems, placements, store: ad.ParamStore,
                       cfg: ModelConfig, training: bool = False,
                       update_running: bool = True) -> ad.Tensor:
     """Teacher-forced log pi(a|x) per batch item, shape (B,)."""
+    store = _params(store, cfg)
     h = encode(problems, store, cfg, training, update_running)
     return decode_log_prob(h, problems, placements, store, cfg)
 
@@ -246,6 +287,7 @@ def decode_log_prob(h: ad.Tensor, problems, placements,
         masks[rows, t + 1:, actions[:, t]] = False
     prev_ports = np.concatenate(
         [np.full((bsz, 1), START), actions[:, :-1]], axis=1)
+    store = _params(store, cfg)
     logp = decode(decoder_cache(h, problems, store, cfg), prev_ports, masks,
                   store, cfg)
     n = logp.shape[2]
@@ -270,6 +312,7 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
     bsz = len(problems)
     rows = np.arange(bsz)
     with ad.no_grad():
+        store = _params(store, cfg)
         h = encode(problems, store, cfg, training=False)
         cache = decoder_cache(h, problems, store, cfg)
         mask = np.stack([p.allowed_mask for p in problems])

@@ -370,6 +370,36 @@ def test_batch_norm_update_running_flag():
     assert np.array_equal(s.buffers["bn.mean"], np.zeros(2))
 
 
+def test_batch_norm_float32_input_keeps_float64_running_stats():
+    rng = make_rng(8)
+    x = ad.Tensor(rng.normal(loc=1.0, size=(4, 5, 3)).astype(np.float32))
+    gamma = ad.Tensor(np.ones(3, np.float32))
+    beta = ad.Tensor(np.zeros(3, np.float32))
+    running = {"bn.mean": np.zeros(3), "bn.var": np.ones(3)}
+    y = ad.batch_norm(x, gamma, beta, running, "bn", training=True)
+    assert y.data.dtype == np.float32
+    assert running["bn.mean"].dtype == running["bn.var"].dtype == np.float64
+    np.testing.assert_allclose(
+        running["bn.mean"], 0.1 * x.data.astype(np.float64).mean(axis=(0, 1)),
+        rtol=1e-6)
+    y = ad.batch_norm(x, gamma, beta, running, "bn", training=False)
+    assert y.data.dtype == np.float32
+
+
+def test_tensor_dtypes_and_cast_gradient():
+    assert ad.Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    for data in ([1, 2], 3.0, np.ones(2, np.float16), np.ones(2, np.int32)):
+        assert ad.Tensor(data).data.dtype == np.float64
+    x = ad.Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    y = ad.cast(x, np.float32)
+    z = ad.tensor_sum(ad.mul(y, y))
+    assert y.data.dtype == z.data.dtype == np.float32
+    z.backward()
+    # A leaf's first gradient is stored in the leaf's dtype.
+    assert x.grad.dtype == np.float64
+    np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+
+
 # --- broadcasting in backward ---------------------------------------------------------
 
 def test_unbroadcast_gradients():

@@ -510,6 +510,13 @@ def _three_ablation_flags(header):
     return header
 
 
+def _without_float32(header):
+    # The config of a checkpoint saved before ModelConfig.float32 existed.
+    del header["config"]["float32"]
+    header["config_hash"] = ad.config_hash(header["config"])
+    return header
+
+
 def _string_d_model(header):
     header["config"]["d_model"] = "32"
     header["config_hash"] = ad.config_hash(header["config"])
@@ -527,10 +534,12 @@ def _string_d_model(header):
     _edit_header(_huge_first_shape),
     _edit_header(_without_last_buffer),
     _edit_header(_string_d_model),
-    _edit_header(_three_ablation_flags)],
+    _edit_header(_three_ablation_flags),
+    _edit_header(_without_float32)],
     ids=["half", "first-6-bytes", "huge-header-length", "extra-config-key",
          "no-params", "list-header", "negative-shape", "huge-shape",
-         "missing-buffer", "string-d-model", "three-ablation-flags"])
+         "missing-buffer", "string-d-model", "three-ablation-flags",
+         "no-float32-field"])
 def test_exit_code_malformed_checkpoint(workdir, checkpoint, tmp_path,
                                         damage):
     bad = tmp_path / "bad.ckpt"

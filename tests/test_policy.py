@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,13 +22,14 @@ def test_model_config_contracts():
         pol.ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ContractViolation):
         pol.ModelConfig(d_model=0, n_heads=4)
+    assert pol.ModelConfig().float32 and not CFG.float32
     d = CFG.to_dict()
     assert pol.ModelConfig.from_dict(d) == CFG
     assert pol.ModelConfig.from_dict({**d, "d_model": 16.0}) == CFG
     for bad in ({**d, "extra": 1}, {k: v for k, v in d.items()
                                     if k != "init_seed"},
                 {**d, "d_model": "16"}, {**d, "n_heads": 0},
-                {**d, "ablated": 1},
+                {**d, "ablated": 1}, {**d, "float32": 1},
                 {**{k: v for k, v in d.items() if k != "ablated"},
                  "use_ppe": True, "use_pcn": True, "use_rcn": True}):
         with pytest.raises(ContractViolation):
@@ -269,3 +271,33 @@ def test_policy_save_load_round_trip(tmp_path):
     p = gen_problem_set(6, 1, 4, 4, 3)[0]
     assert policy.greedy_placement(p, 3) == \
         pol.rollout_batch([p], store, CFG, "greedy", 3)[0]
+
+
+def _imitation_grads(problems, placements, cfg):
+    store = pol.init_params(cfg)
+    lp = pol.sequence_log_prob(problems, placements, store, cfg, training=True)
+    ad.scale(ad.mean(lp), -1.0).backward()
+    return lp.data, {n: t.grad for n, t in store.params.items()}
+
+
+def test_float32_model_matches_float64():
+    # The tolerances are 10x the worst of 20 seeds measured on this config
+    # at K=3: 4.8e-6 on log pi, 2.8e-6 global relative gradient error.
+    cfg64 = pol.toy_config(n_layers=2, d_model=16, n_heads=2, ff_dim=32,
+                           init_seed=8)
+    cfg32 = dataclasses.replace(cfg64, float32=True)
+    probs = gen_problem_set(8, 6, 4, 4, 3)
+    store = pol.init_params(cfg64)
+    assert pol.encode(probs, store, cfg32).data.dtype == np.float32
+    greedy = [pl for pl, _ in pol.rollout_batch(probs, store, cfg64,
+                                                 "greedy", 3)]
+    assert [pl for pl, _ in pol.rollout_batch(probs, store, cfg32,
+                                               "greedy", 3)] == greedy
+    lp64, g64 = _imitation_grads(probs, greedy, cfg64)
+    lp32, g32 = _imitation_grads(probs, greedy, cfg32)
+    assert lp32.dtype == np.float64
+    np.testing.assert_allclose(lp32, lp64, rtol=0, atol=5e-5)
+    assert all(g.dtype == np.float64 for g in g32.values())
+    err = math.sqrt(sum(((g32[n] - g) ** 2).sum() for n, g in g64.items())
+                    / sum((g ** 2).sum() for g in g64.values()))
+    assert err < 3e-5

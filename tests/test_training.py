@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -454,3 +455,54 @@ def test_self_term_step_runs_three_encodes(eval3, monkeypatch):
                           keepout_max=2, self_batch=2)
     tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=2)
     assert per_step == [3, 3]
+
+
+CFG32 = dataclasses.replace(CFG, float32=True)
+
+
+def _float32_setup(eval3, max_steps):
+    recs, probs = _tiny_dataset(eval3, n=4)
+    hashes = {p.canonical_hash() for p in probs}
+    val = gen_problem_set(83, 2, 3, 3, 2, exclude_hashes=hashes)
+    tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
+                          lambda_eff=10.0, k=2, max_steps=max_steps,
+                          val_interval=3, keepout_max=2, self_batch=2, seed=4)
+    return recs, val, tcfg
+
+
+def test_float32_train_step_keeps_float64_state(eval3, monkeypatch):
+    logit_dtypes, optimizers = [], []
+    log_softmax, step = ad.masked_log_softmax, tr.Adam.step
+
+    def spy_log_softmax(logits, mask):
+        logit_dtypes.append(logits.data.dtype)
+        return log_softmax(logits, mask)
+
+    def spy_step(opt):
+        optimizers.append(opt)
+        step(opt)
+
+    monkeypatch.setattr(ad, "masked_log_softmax", spy_log_softmax)
+    monkeypatch.setattr(tr.Adam, "step", spy_step)
+    recs, val, tcfg = _float32_setup(eval3, max_steps=1)
+    res = tr.train(recs, tcfg, CFG32, eval3, val, order_bias_samples=2)
+    [opt] = optimizers
+    for name, t in res.final_store.params.items():
+        assert t.data.dtype == t.grad.dtype == np.float64, name
+        assert opt.m[name].dtype == opt.v[name].dtype == np.float64, name
+    assert all(b.dtype == np.float64
+               for b in res.final_store.buffers.values())
+    assert logit_dtypes and set(logit_dtypes) == {np.dtype(np.float64)}
+
+
+def test_float32_train_writes_identical_bytes(eval3, tmp_path):
+    recs, val, tcfg = _float32_setup(eval3, max_steps=6)
+    blobs = []
+    for run in ("a", "b"):
+        res = tr.train(recs, tcfg, CFG32, eval3, val, order_bias_samples=4)
+        ckpt, log = tmp_path / f"{run}.ckpt", tmp_path / f"{run}.csv"
+        pol.save_policy(ckpt, res.store, CFG32, {"steps_run": res.steps_run})
+        tr.write_train_log(log, res.log_rows)
+        blobs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert blobs[0] == blobs[1]
+    assert pol.load_policy(tmp_path / "a.ckpt")[0].cfg == CFG32
