@@ -9,11 +9,15 @@ in its inputs' dtype, a node's gradient is kept in its own dtype, and
 cast() is the one op that changes dtype. Parameters, running statistics
 and checkpoints are float64. All reductions use numpy's fixed order, so
 two identical backward passes produce bit-identical gradients.
+branch_sum() joins two losses, one built on a ParamStore and one on a
+private leaf view of it; they share no node, so their forward and backward
+passes may run on two threads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -60,8 +64,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self):
-        """Accumulate d(self)/d(leaf) into every leaf's grad.
+    def backward(self, grad=None):
+        """Accumulate grad * d(self)/d(leaf) into every leaf's grad; grad
+        defaults to 1.
 
         The tape is consumed: each interior node drops its parents, its
         backward closure and its grad once they have been used, so the
@@ -84,7 +89,8 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.ones_like(self.data) if grad is None else \
+            np.array(grad, dtype=self.data.dtype)
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -520,6 +526,50 @@ class ParamStore:
             out.buffers[name] = b.copy()
         return out
 
+    def leaf_view(self, buffers: dict) -> "ParamStore":
+        """Fresh leaf tensors over this store's parameter arrays, so a
+        backward through the view writes only the view's .grad; buffers
+        are the view's running statistics."""
+        out = ParamStore()
+        out.params = {name: Tensor(t.data, requires_grad=t.requires_grad)
+                      for name, t in self.params.items()}
+        out.buffers = buffers
+        return out
+
+
+def branch_sum(store: ParamStore, first, view: ParamStore, second,
+               weight: float, run):
+    """(first() + weight * second() as one node, first(), second()) for
+    two scalar branches: first() builds its branch over store's leaves and
+    second() over view's, a leaf view of store (ParamStore.leaf_view), so
+    the two share no node and write disjoint gradients.
+
+    run(f, g) returns (f(), g()) and may run g on another thread. The
+    forward builds both branches through run, and so does the backward,
+    which hands first the incoming gradient g and second g * weight, as
+    first + scale(second, weight) does. It then adds view's gradients
+    into store's leaves. Backward through that chain also finishes
+    first's part before second's, so where second reaches each leaf
+    through one node, as the self term does, the gradients are bitwise
+    the same.
+    """
+    a, b = run(first, second)
+    c = float(weight)
+
+    def backward(g):
+        run(lambda: a.backward(g), lambda: b.backward(g * c))
+        for name, v in view.params.items():
+            t = store.params[name]
+            if v.grad is None:
+                continue
+            if t.grad is None:
+                t.grad = v.grad  # the view's own array, made by _accum
+            else:
+                t.grad += v.grad
+
+    out = _make(a.data + b.data * c, tuple(store.params.values()), backward)
+    return out, a, b
+
 
 def xavier_uniform(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -577,6 +627,55 @@ def grad_check(fn, store: ParamStore, eps: float = 1e-4, seed: int = 0,
     for k in store.buffers:
         store.buffers[k][...] = snap[k]
     return max_err
+
+
+# --- BLAS thread count ------------------------------------------------------
+
+# Name prefix and suffix of {get,set}_num_threads in OpenBLAS builds:
+# scipy-openblas's 64-bit and 32-bit interfaces, then the plain library.
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                   ("openblas_", ""))
+
+
+def _openblas_libs() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded into this
+    process (numpy and scipy each bundle one); empty where none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:  # no /proc: not Linux
+        return []
+    libs = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for pre, post in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{pre}get_num_threads{post}", None)
+            put = getattr(lib, f"{pre}set_num_threads{post}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                libs.append((get, put))
+                break
+    return libs
+
+
+@contextlib.contextmanager
+def blas_threads(n: int | None = None):
+    """Run the block with every loaded OpenBLAS at n threads (None: as
+    they are), and set each back to its own count on the way out. Yields
+    the counts found on entry, one per library: an empty list where no
+    OpenBLAS symbol is found, and then nothing is changed."""
+    libs = _openblas_libs()
+    before = [get() for get, _ in libs]
+    try:
+        if n is not None:
+            for _, put in libs:
+                put(n)
+        yield before
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
 
 
 # --- checkpoint container ---------------------------------------------------

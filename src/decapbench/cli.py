@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
                                 diagnostics_path=args.diagnostics)
     meta = {"best_val": result.best_val, "steps_run": result.steps_run,
             "train_config": tcfg.to_dict(), "wall_time_s": time.time() - t0,
-            "seed": args.seed}
+            "seed": args.seed, "blas_threads": result.blas_threads}
     pol.save_policy(args.out, result.store, mcfg, meta)
     if args.log:
         training.write_train_log(args.log, result.log_rows)
@@ -310,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "--expert and report --verify score a batch of "
                             "placements on, when a placement has at least "
                             f"{PARALLEL_MIN_PORTS} ports (fewer run on one "
-                            "thread); train runs on one; results do not "
-                            "depend on this value")
+                            "thread); at 2 or more, train runs a large "
+                            "enough self term beside its imitation term; "
+                            "results do not depend on this value")
         p.add_argument("--sim", choices=("chip", "paper"), default="chip")
 
     g = sub.add_parser("gen", help="generate problem splits and expert labels")

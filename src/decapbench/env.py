@@ -214,8 +214,9 @@ class Evaluator:
     per board size serves every problem and placement. Each evaluate()
     performs one Schur termination per frequency and counts as one
     simulator call. Safe to share between threads. evaluate_all() scores
-    a batch on up to `threads` threads; close() (or leaving a `with`
-    block) stops its worker threads.
+    a batch on up to `threads` threads, and run_beside() runs a second
+    task beside the caller's on a worker; close() (or leaving a `with`
+    block) stops the worker threads.
     """
 
     def __init__(self, config: pdn.SimConfig, threads: int = 1):
@@ -256,6 +257,20 @@ class Evaluator:
                 self._pool = ThreadPoolExecutor(
                     self.threads - 1, thread_name_prefix="evaluator")
             return self._pool
+
+    def run_beside(self, main, side) -> tuple:
+        """(main(), side()), with side on a worker thread while main runs
+        on the calling thread; with threads == 1, main then side, both
+        here. Returns once both have finished. If main raised, its
+        exception is raised, else side's."""
+        if self.threads < 2:
+            return main(), side()
+        future = self._workers().submit(side)
+        try:
+            out = main()
+        finally:
+            wait([future])
+        return out, future.result()
 
     def _check_board(self, problem: Problem) -> None:
         chip = self.config.stack.chip

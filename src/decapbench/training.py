@@ -11,8 +11,12 @@ stores lambda * 1e32 as a single number).
 In train() the snapshot is a stop-gradient of the current parameters: one
 training-mode encode of the self-term problems serves both branches, and no
 copy of the parameters is taken. The snapshot's rollout reads the running
-batch-norm statistics, so each step computes the self-term before the
-imitation loss updates them.
+batch-norm statistics as they stood at the start of the step. train()
+holds OpenBLAS at one thread. It computes the self term first, or, for a
+large enough self term and a spare evaluator thread, on that thread beside
+the imitation term, forward and backward: the two terms are then the
+branches of one autodiff.branch_sum node, and the rollout reads a shallow
+copy of the statistics taken at the start of the step.
 """
 
 from __future__ import annotations
@@ -31,6 +35,20 @@ from .errors import ContractViolation, NumericFailure
 from .search import ExpertRecord, GaConfig, ga_solve
 
 TRAIN_LOG_COLUMNS = ("step", "train_nll", "self_loss", "val_J", "order_bias")
+
+# train() runs the self term beside the imitation term only when one
+# encoder activation of the self term (self-batch x ports x d_model) has at
+# least this many elements. Smaller steps are mostly interpreter work: at
+# 12,800 (the toy preset on 5x5 boards, self-batch 16) the op_tail_ms of
+# the toy-pipeline bench rose from 7.9 to 11.2 ms (medians of 8 pairs),
+# and at 18,432 a step's p97 from 9.6 to 9.8 ms. At 25,088, 25,600 and
+# 102,400 (train-k20) every step percentile measured fell: the p50 by
+# 15-35% (2 CPUs, OpenBLAS at 1 thread). Below the gate the terms are
+# computed in turn without a branch_sum node, whose leaf view adds about
+# 60 collected objects per step: on the toy-pipeline step that was enough
+# to cross the collector's first threshold every step (365 instead of 37
+# first-generation and 3 instead of 0 full collections in 400 steps).
+PARALLEL_MIN_SELF_ELEMENTS = 25_000
 
 
 # --- action-order transformations ------------------------------------------
@@ -79,8 +97,9 @@ def self_loss(problems, store: ad.ParamStore, frozen: ad.ParamStore | None,
     problems, so with frozen == store and identity transforms the loss is
     exactly zero. The trajectories are sampled in eval mode, from the
     snapshot's running batch-norm statistics; with frozen None those are
-    store's, so a training step must call this before its imitation loss
-    updates them. The absolute gap is evaluated as
+    store's, so a training step computes this before its imitation loss
+    updates them, or on a view whose buffers are a copy taken at the start
+    of the step (total_loss). The absolute gap is evaluated as
     e^c * |e^(l1-c) - e^(l2-c)| with c = max(l1, l2) to avoid underflow.
     Gradients flow only through store.
     """
@@ -105,20 +124,34 @@ def self_loss(problems, store: ad.ParamStore, frozen: ad.ParamStore | None,
 
 
 def total_loss(batch, problems, store, frozen, cfg: pol.ModelConfig,
-               k: int, lambda_eff: float, rng) -> tuple:
+               k: int, lambda_eff: float, rng, run=None) -> tuple:
     """(loss tensor, expert component, self component).
 
-    The self term is computed first: expert_loss updates store's running
-    batch-norm statistics, and with frozen None the self term's rollout
-    must read them as they stood at the start of the step.
+    Without run, the terms are computed in turn, the self term first:
+    expert_loss updates store's running batch-norm statistics, and with
+    frozen None the self term's rollout must read them as they stood at
+    the start of the step. With run(f, g), which may run g on another
+    thread, the terms are the two branches of one ad.branch_sum node: the
+    self term works on a leaf view of store whose buffers are a shallow
+    copy of store.buffers taken here, so its rollout reads them as they
+    stood at the start of the step (batch_norm replaces entries and never
+    writes into them). Both ways give bitwise the same loss and gradients.
+    Only the self term draws from rng.
     """
-    l_self = self_loss(problems, store, frozen, cfg, k, rng) \
-        if lambda_eff else None
-    l_exp = expert_loss(batch, store, cfg)
-    if l_self is None:
+    if not lambda_eff:
+        l_exp = expert_loss(batch, store, cfg)
         return l_exp, float(l_exp.data), 0.0
-    return (l_exp + ad.scale(l_self, lambda_eff),
-            float(l_exp.data), float(l_self.data))
+    if run is None:
+        l_self = self_loss(problems, store, frozen, cfg, k, rng)
+        l_exp = expert_loss(batch, store, cfg)
+        loss = l_exp + ad.scale(l_self, lambda_eff)
+    else:
+        snap = store.leaf_view(dict(store.buffers))
+        loss, l_exp, l_self = ad.branch_sum(
+            store, lambda: expert_loss(batch, store, cfg),
+            snap, lambda: self_loss(problems, snap, frozen, cfg, k, rng),
+            lambda_eff, run)
+    return loss, float(l_exp.data), float(l_self.data)
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -238,6 +271,7 @@ class TrainResult:
     best_val: float = -np.inf
     steps_run: int = 0
     final_store: ad.ParamStore | None = None  # parameters at the last step run
+    blas_threads: int | None = None  # OpenBLAS count held; None: not found
 
 
 def _self_problem_stream(board, keepout_max: int, excluded_hashes, rng):
@@ -264,7 +298,15 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
           order_bias_samples: int = 32, diagnostics_path=None) -> TrainResult:
     """Mini-batch descent on the combined loss with greedy validation and
     early stopping on the best validation score. Deterministic per seed.
-    The self-term problems are drawn on the expert records' board."""
+    The self-term problems are drawn on the expert records' board.
+
+    Every loaded OpenBLAS runs at one thread until train returns or
+    raises, and then gets its old count back; result.blas_threads records
+    1, or None where no OpenBLAS symbol is found. With the count pinned,
+    a spare evaluator thread and a self term of at least
+    PARALLEL_MIN_SELF_ELEMENTS, each step's self term runs on
+    evaluator.run_beside, beside the imitation term; the results do not
+    depend on evaluator.threads."""
     if not val_problems:
         raise ContractViolation("need validation problems")
     val_hashes = {p.canonical_hash() for p in val_problems}
@@ -281,8 +323,8 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     if len(boards) != 1:
         raise ContractViolation("expert records must share one board size")
     rng = np.random.Generator(np.random.PCG64(tcfg.seed + 1))
-    stream = _self_problem_stream(boards.pop(), tcfg.keepout_max, val_hashes,
-                                  rng)
+    board = boards.pop()
+    stream = _self_problem_stream(board, tcfg.keepout_max, val_hashes, rng)
     if store is None:
         store = pol.init_params(mcfg)
     opt = Adam(store, tcfg.learning_rate)
@@ -291,43 +333,53 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     rounds_since_best = 0
     order = []
     self_batch = tcfg.self_batch or tcfg.batch_size
+    beside = self_batch * board[0] * board[1] * mcfg.d_model >= \
+        PARALLEL_MIN_SELF_ELEMENTS
 
-    for step_i in range(1, tcfg.max_steps + 1):
-        if len(order) < tcfg.batch_size:
-            order = list(rng.permutation(len(data)))
-        batch = [data[order.pop()] for _ in range(tcfg.batch_size)]
-        problems = [next(stream) for _ in range(self_batch)] \
-            if tcfg.lambda_eff else []
-        loss, l_exp, l_self = total_loss(batch, problems, store, None,
-                                         mcfg, tcfg.k, tcfg.lambda_eff, rng)
-        if not np.isfinite(loss.data):
-            state = {"step": step_i, "expert_loss": l_exp, "self_loss": l_self,
-                     "train_config": tcfg.to_dict()}
-            if diagnostics_path:
-                with open(diagnostics_path, "w") as fh:
-                    json.dump(state, fh, indent=2, sort_keys=True)
-            raise NumericFailure(f"non-finite loss at step {step_i}: {state}")
-        store.zero_grad()
-        loss.backward()
-        opt.step()
-        result.steps_run = step_i
+    # One BLAS thread: the self branch's worker is the second CPU, and
+    # results then do not depend on the environment's count.
+    with ad.blas_threads(1) as found:
+        run = evaluator.run_beside \
+            if found and beside and evaluator.threads > 1 else None
+        result.blas_threads = 1 if found else None
+        for step_i in range(1, tcfg.max_steps + 1):
+            if len(order) < tcfg.batch_size:
+                order = list(rng.permutation(len(data)))
+            batch = [data[order.pop()] for _ in range(tcfg.batch_size)]
+            problems = [next(stream) for _ in range(self_batch)] \
+                if tcfg.lambda_eff else []
+            loss, l_exp, l_self = total_loss(batch, problems, store, None,
+                                             mcfg, tcfg.k, tcfg.lambda_eff,
+                                             rng, run)
+            if not np.isfinite(loss.data):
+                state = {"step": step_i, "expert_loss": l_exp,
+                         "self_loss": l_self, "train_config": tcfg.to_dict()}
+                if diagnostics_path:
+                    with open(diagnostics_path, "w") as fh:
+                        json.dump(state, fh, indent=2, sort_keys=True)
+                raise NumericFailure(
+                    f"non-finite loss at step {step_i}: {state}")
+            store.zero_grad()
+            loss.backward()
+            opt.step()
+            result.steps_run = step_i
 
-        if step_i % tcfg.val_interval == 0 or step_i == tcfg.max_steps:
-            val_j = validate(store, mcfg, evaluator, val_problems, tcfg.k)
-            bias = order_bias_estimate(pol.DevFormerPolicy(store, mcfg),
-                                       val_problems, order_bias_samples,
-                                       seed=tcfg.seed + 2, k=tcfg.k)
-            result.log_rows.append({"step": step_i, "train_nll": l_exp,
-                                    "self_loss": l_self, "val_J": val_j,
-                                    "order_bias": bias.value})
-            if val_j > result.best_val:
-                result.best_val = val_j
-                best_store = store.copy()
-                rounds_since_best = 0
-            else:
-                rounds_since_best += 1
-                if rounds_since_best >= tcfg.patience:
-                    break
+            if step_i % tcfg.val_interval == 0 or step_i == tcfg.max_steps:
+                val_j = validate(store, mcfg, evaluator, val_problems, tcfg.k)
+                bias = order_bias_estimate(pol.DevFormerPolicy(store, mcfg),
+                                           val_problems, order_bias_samples,
+                                           seed=tcfg.seed + 2, k=tcfg.k)
+                result.log_rows.append({"step": step_i, "train_nll": l_exp,
+                                        "self_loss": l_self, "val_J": val_j,
+                                        "order_bias": bias.value})
+                if val_j > result.best_val:
+                    result.best_val = val_j
+                    best_store = store.copy()
+                    rounds_since_best = 0
+                else:
+                    rounds_since_best += 1
+                    if rounds_since_best >= tcfg.patience:
+                        break
 
     result.final_store = store
     result.store = best_store

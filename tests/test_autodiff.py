@@ -460,6 +460,52 @@ def test_param_store_copy_is_deep():
     assert s.buffers["buf"][0] == 0.0
 
 
+def _on_a_thread(f, g):
+    """A branch_sum runner that runs g on another thread while f runs."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(g()))
+    worker.start()
+    first = f()
+    worker.join(60)
+    assert not worker.is_alive()
+    return first, out[0]
+
+
+@pytest.mark.parametrize("run", [lambda f, g: (f(), g()), _on_a_thread],
+                         ids=["in-turn", "threads"])
+def test_branch_sum_matches_the_chain_bitwise(run):
+    # The first branch reaches w twice, the second once; branch_sum adds
+    # the view's gradients into the store after the first branch's, and
+    # must give the value and gradients of first + scale(second, weight).
+    rng = make_rng(31)
+    x1, x2 = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+    store = store_with(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
+
+    def first(s):
+        h = ad.linear(ad.Tensor(x1), s["w"], s["b"])
+        return ad.mean(ad.mul(h, ad.linear(ad.Tensor(x1), s["w"])))
+
+    def second(s):
+        return ad.tensor_sum(ad.exp(ad.linear(ad.Tensor(x2), s["w"],
+                                              s["b"])))
+
+    store.zero_grad()
+    chain = ad.add(first(store), ad.scale(second(store), 2.5))
+    chain.backward()
+    want = {n: t.grad.copy() for n, t in store.params.items()}
+
+    store.zero_grad()
+    view = store.leaf_view(store.buffers)
+    out, a, b = ad.branch_sum(store, lambda: first(store), view,
+                              lambda: second(view), 2.5, run)
+    assert out.data == chain.data
+    assert a.data + b.data * 2.5 == out.data
+    out.backward()
+    for name, g in want.items():
+        assert np.array_equal(store[name].grad, g), name
+        assert view[name].data is store[name].data
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = make_rng(8)
     s = store_with(w=rng.normal(size=(3, 3)), b=rng.normal(size=3))

@@ -75,6 +75,12 @@ def test_train_writes_log(workdir, checkpoint):
     assert len(lines) >= 2
 
 
+def test_train_meta_records_blas_threads(checkpoint):
+    _, _, meta = ad.load_checkpoint(checkpoint)
+    with ad.blas_threads() as found:
+        assert meta["blas_threads"] == (1 if found else None)
+
+
 def test_eval_and_report_verify(workdir, checkpoint, tmp_path):
     out = workdir / "eval.json"
     code = run("eval", "--checkpoint", checkpoint,

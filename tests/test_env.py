@@ -261,6 +261,30 @@ def test_evaluate_all_below_the_gate_starts_no_worker(eval5):
     assert not _evaluator_threads()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_beside_runs_side_on_a_worker(eval5, threads):
+    def name():
+        return threading.current_thread().name
+
+    with Evaluator(eval5.config, threads=threads) as ev:
+        main, side = ev.run_beside(name, name)
+        assert main == threading.current_thread().name
+        assert side.startswith("evaluator") == (threads == 2)
+
+        def fail(msg):
+            def raise_it():
+                time.sleep(0.05 if msg == "main" else 0.0)
+                raise NumericFailure(msg)
+            return raise_it
+
+        # Both raise: main's exception wins, after side has finished.
+        with pytest.raises(NumericFailure, match="main"):
+            ev.run_beside(fail("main"), fail("side"))
+        with pytest.raises(NumericFailure, match="side"):
+            ev.run_beside(name, fail("side"))
+    assert not _evaluator_threads()
+
+
 def test_evaluator_rejects_fewer_than_one_thread(eval5):
     with pytest.raises(ContractViolation, match="threads must be >= 1"):
         Evaluator(eval5.config, threads=0)

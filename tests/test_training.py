@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from decapbench import autodiff as ad
 from decapbench import policy as pol
 from decapbench import training as tr
-from decapbench.env import Problem, gen_problem, gen_problem_set
+from decapbench.env import Evaluator, Problem, gen_problem, gen_problem_set
 from decapbench.errors import ContractViolation, NumericFailure
 from decapbench.search import ExpertRecord, ga_solve, GaConfig
 from order_bias_reference import SequentialUniformPolicy, theorem_check
@@ -429,12 +431,15 @@ def test_self_loss_shared_encode_matches_explicit_snapshot():
 
 def test_self_term_step_runs_three_encodes(eval3, monkeypatch):
     # one eval-mode encode for the rollout, one training-mode encode shared
-    # by both self-term branches, one for the imitation loss
+    # by both self-term branches, one for the imitation loss; at 2 threads
+    # the self term's two run on the evaluator's worker
     calls = []
+    lock = threading.Lock()
     encode, total_loss = pol.encode, tr.total_loss
 
     def counted_encode(*args, **kwargs):
-        calls.append(1)
+        with lock:
+            calls.append(1)
         return encode(*args, **kwargs)
 
     per_step = []
@@ -447,14 +452,18 @@ def test_self_term_step_runs_three_encodes(eval3, monkeypatch):
 
     monkeypatch.setattr(pol, "encode", counted_encode)
     monkeypatch.setattr(tr, "total_loss", counted_total_loss)
+    monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", 0)
     recs, probs = _tiny_dataset(eval3, n=4)
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(82, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0, k=2,
                           max_steps=2, val_interval=10,
                           keepout_max=2, self_batch=2)
-    tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=2)
-    assert per_step == [3, 3]
+    for threads in (1, 2):
+        per_step.clear()
+        with Evaluator(eval3.config, threads) as ev:
+            tr.train(recs, tcfg, CFG, ev, val, order_bias_samples=2)
+        assert per_step == [3, 3], threads
 
 
 CFG32 = dataclasses.replace(CFG, float32=True)
@@ -506,3 +515,222 @@ def test_float32_train_writes_identical_bytes(eval3, tmp_path):
         blobs.append((ckpt.read_bytes(), log.read_bytes()))
     assert blobs[0] == blobs[1]
     assert pol.load_policy(tmp_path / "a.ckpt")[0].cfg == CFG32
+
+
+# --- the two loss branches on two threads -------------------------------------------
+
+def _evaluator_threads() -> list:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("evaluator")]
+
+
+def _train_bytes(recs, val, tcfg, mcfg, ev, tmp_path, monkeypatch) -> tuple:
+    """The checkpoint and train-log bytes of one train() run, and its Adam
+    moments as bytes."""
+    optimizers = []
+    step = tr.Adam.step
+
+    def spy_step(opt):
+        optimizers.append(opt)
+        step(opt)
+
+    monkeypatch.setattr(tr.Adam, "step", spy_step)
+    res = tr.train(recs, tcfg, mcfg, ev, val, order_bias_samples=4)
+    monkeypatch.setattr(tr.Adam, "step", step)
+    ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.csv"
+    pol.save_policy(ckpt, res.store, mcfg, {"steps_run": res.steps_run})
+    tr.write_train_log(log, res.log_rows)
+    opt = optimizers[0]
+    moments = [opt.m[n].tobytes() + opt.v[n].tobytes() for n in opt.m]
+    return ckpt.read_bytes(), log.read_bytes(), moments
+
+
+TOY = pol.toy_config()
+
+
+@pytest.mark.parametrize("mcfg, lambda_eff", [
+    (TOY, 10.0), (dataclasses.replace(TOY, ablated=True), 10.0),
+    (TOY, 0.0), (CFG32, 10.0)], ids=["toy", "ablated", "il", "float32"])
+def test_train_bytes_do_not_depend_on_evaluator_threads(
+        eval3, tmp_path, monkeypatch, mcfg, lambda_eff):
+    monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", 0)
+    recs, probs = _tiny_dataset(eval3, n=4)
+    hashes = {p.canonical_hash() for p in probs}
+    val = gen_problem_set(84, 2, 3, 3, 2, exclude_hashes=hashes)
+    tcfg = tr.TrainConfig(learning_rate=1e-2, batch_size=4, permutations=1,
+                          lambda_eff=lambda_eff, k=2, max_steps=6,
+                          val_interval=3, keepout_max=2, self_batch=3, seed=5)
+    runs = []
+    for threads in (1, 2):
+        with Evaluator(eval3.config, threads) as ev:
+            runs.append(_train_bytes(recs, val, tcfg, mcfg, ev, tmp_path,
+                                     monkeypatch))
+        assert not _evaluator_threads()
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2])
+def test_total_loss_branches_match_the_chain(eval3, threads):
+    # threads None: the imitation branch runs to the end before the self
+    # branch starts, so a self-term rollout that read store.buffers instead
+    # of its copy would see this step's updates; 128 self-term problems
+    # make such a read change some sampled action.
+    recs, _ = _tiny_dataset(eval3, n=6)
+    problems = gen_problem_set(89, 128, 3, 3, 2)
+
+    def step(run):
+        store = pol.init_params(CFG)
+        loss, l_exp, l_self = tr.total_loss(recs[:4], problems, store, None,
+                                            CFG, 2, 10.0, make_rng(7), run)
+        store.zero_grad()
+        loss.backward()
+        return (loss.data, l_exp, l_self,
+                {n: t.grad for n, t in store.params.items()},
+                dict(store.buffers))
+
+    want = step(None)
+    if threads is None:
+        got = step(lambda f, g: (f(), g()))
+    else:
+        with Evaluator(eval3.config, threads) as ev:
+            got = step(ev.run_beside)
+    assert got[:3] == want[:3] and want[2] > 0.0
+    for name, g in want[3].items():
+        assert np.array_equal(got[3][name], g), name
+    assert got[4].keys() == want[4].keys()
+    for name, b in want[4].items():
+        assert np.array_equal(got[4][name], b), name
+
+
+def _blas_counts() -> list:
+    with ad.blas_threads() as counts:
+        return counts
+
+
+def test_train_bytes_do_not_depend_on_blas_count(eval5, tmp_path,
+                                                 monkeypatch):
+    # The toy model's weight-gradient GEMMs round differently at 1 and at
+    # 2 OpenBLAS threads at these shapes; train() pins the count to 1.
+    before = _blas_counts()
+    if not before:
+        pytest.skip("no OpenBLAS get/set_num_threads symbol in this process")
+    probs = gen_problem_set(100, 10, 5, 5, 4)
+    recs = [ga_solve(p, 4, GaConfig(population=6, generations=2, elites=1,
+                                    seed=i), eval5)
+            for i, p in enumerate(probs)]
+    val = gen_problem_set(999, 4, 5, 5, 4,
+                          {p.canonical_hash() for p in probs})
+    tcfg = tr.toy_train_config(max_steps=8, val_interval=4)
+    runs = []
+    for n in (2, 1):
+        with ad.blas_threads(n):
+            runs.append(_train_bytes(recs, val, tcfg, TOY, eval5, tmp_path,
+                                     monkeypatch))
+            assert _blas_counts() == [n] * len(before)
+    assert runs[0] == runs[1]
+    assert _blas_counts() == before
+
+
+def test_train_restores_blas_count_when_it_raises(eval3):
+    before = _blas_counts()
+    if not before:
+        pytest.skip("no OpenBLAS get/set_num_threads symbol in this process")
+    recs, probs = _tiny_dataset(eval3, n=4)
+    val = gen_problem_set(85, 2, 3, 3, 2,
+                          {p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
+                          max_steps=1, keepout_max=2)
+    store = pol.init_params(CFG)
+    store["enc0.ff1.b"].data[0] = np.nan
+    with ad.blas_threads(2):
+        with pytest.raises(NumericFailure):
+            tr.train(recs, tcfg, CFG, eval3, val, store=store)
+        assert _blas_counts() == [2] * len(before)
+    assert _blas_counts() == before
+
+
+class SelfBranchFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["forward", "backward"])
+def test_self_branch_failure_on_the_worker_surfaces_from_train(
+        eval3, monkeypatch, stage):
+    recs, probs = _tiny_dataset(eval3, n=4)
+    val = gen_problem_set(86, 2, 3, 3, 2,
+                          {p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
+                          k=2, max_steps=2, keepout_max=2, self_batch=2)
+    where = []
+    self_loss = tr.self_loss
+
+    def fail(g=None):
+        where.append(threading.current_thread().name)
+        raise SelfBranchFailure(stage)
+
+    def failing_self_loss(*args, **kwargs):
+        if stage == "forward":
+            fail()
+        out = ad.scale(self_loss(*args, **kwargs), 1.0)
+        out._backward = fail
+        return out
+
+    monkeypatch.setattr(tr, "self_loss", failing_self_loss)
+    monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", 0)
+    with Evaluator(eval3.config, threads=2) as ev:
+        with pytest.raises(SelfBranchFailure, match=stage):
+            tr.train(recs, tcfg, CFG, ev, val)
+    assert not _evaluator_threads()
+    if _blas_counts():
+        assert len(where) == 1 and where[0].startswith("evaluator")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_non_finite_self_term_writes_diagnostics(eval3, tmp_path,
+                                                 monkeypatch, threads):
+    # An infinite weight makes the joined loss non-finite after a finite
+    # forward through both branches.
+    monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", 0)
+    recs, probs = _tiny_dataset(eval3, n=4)
+    val = gen_problem_set(87, 2, 3, 3, 2,
+                          {p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1,
+                          lambda_eff=math.inf, k=2, max_steps=2,
+                          keepout_max=2, self_batch=2)
+    diag = tmp_path / "diagnostics.json"
+    with Evaluator(eval3.config, threads) as ev:
+        with pytest.raises(NumericFailure, match="non-finite loss at step 1"):
+            tr.train(recs, tcfg, CFG, ev, val, diagnostics_path=diag)
+    assert not _evaluator_threads()
+    state = json.loads(diag.read_text())
+    assert state["step"] == 1
+    assert math.isfinite(state["expert_loss"]) and state["self_loss"] > 0.0
+
+
+@pytest.mark.parametrize("gate, beside", [(None, False), (0, True)],
+                         ids=["below-gate", "above-gate"])
+def test_self_term_runs_beside_only_above_the_size_gate(
+        eval3, monkeypatch, gate, beside):
+    # self-batch 2 x 9 ports x d_model 16 = 288 elements, below the
+    # default gate: the self term stays on the calling thread.
+    recs, probs = _tiny_dataset(eval3, n=4)
+    val = gen_problem_set(88, 2, 3, 3, 2,
+                          {p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
+                          k=2, max_steps=2, keepout_max=2, self_batch=2)
+    where = []
+    self_loss = tr.self_loss
+
+    def spy(*args, **kwargs):
+        where.append(threading.current_thread().name)
+        return self_loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "self_loss", spy)
+    if gate is not None:
+        monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", gate)
+    with Evaluator(eval3.config, threads=2) as ev:
+        tr.train(recs, tcfg, CFG, ev, val, order_bias_samples=2)
+    if beside and not _blas_counts():
+        pytest.skip("no OpenBLAS symbol: train runs the branches in turn")
+    on_worker = [name.startswith("evaluator") for name in where]
+    assert on_worker == [beside, beside]
