@@ -30,17 +30,6 @@ EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 LOOKAHEAD_TIE_RTOL = 1e-10
 
 
-def _sim_config(name: str, rows: int, cols: int) -> pdn.SimConfig:
-    if name == "paper":
-        cfg = pdn.paper_scale_config()
-        if (rows, cols) != (cfg.stack.chip.n_rows, cfg.stack.chip.n_cols):
-            raise ContractViolation("paper stack is fixed at 10x10")
-        return cfg
-    if name == "chip":
-        return pdn.chip_only_config(rows, cols)
-    raise ContractViolation(f"unknown simulator preset {name!r}")
-
-
 def _board_of(problems) -> tuple:
     boards = {(p.n_rows, p.n_cols) for p in problems}
     if len(boards) != 1:
@@ -70,14 +59,16 @@ def cmd_gen(args) -> int:
     if args.expert:
         if "train" not in splits:
             raise ContractViolation("--expert requires --train > 0")
-        sim = _sim_config(args.sim, args.rows, args.cols)
+        sim = pdn.sim_config(args.sim, args.rows, args.cols)
         ga = GaConfig(args.ga_population, args.ga_generations, args.ga_elites,
                       seed=args.seed)
         path = os.path.join(args.out, "expert_dataset.jsonl")
         with Evaluator(sim, args.threads) as ev:
             build_expert_dataset(path, len(splits["train"]), args.k, ga, ev,
                                  problem_seed=0, n_rows=args.rows,
-                                 n_cols=args.cols, problems=splits["train"])
+                                 n_cols=args.cols,
+                                 keepout_max=args.keepout_max,
+                                 problems=splits["train"])
         print(f"wrote {path} ({ev.count} simulator calls, "
               f"{time.time() - t0:.1f}s)")
     return EXIT_OK
@@ -103,17 +94,27 @@ def _train_configs(args):
 
 
 def cmd_train(args) -> int:
-    records, _ = read_expert_dataset(args.dataset)
+    """Train on the board, simulator preset and keep-out cap that the
+    dataset fixes: the board from its records, the rest from its header."""
+    records, header = read_expert_dataset(args.dataset)
     val_problems = read_problem_file(args.val_problems)
     rows, cols = _board_of([r.problem for r in records])
+    sim, keepout_max = header["sim"], int(header["keepout_max"])
+    if sim not in pdn.SIM_PRESETS:
+        raise ContractViolation(
+            f"expert dataset header field 'sim' is {sim!r}, not one of "
+            f"{', '.join(pdn.SIM_PRESETS)}: no simulator preset can "
+            f"validate on it")
     tcfg, mcfg = _train_configs(args)
     t0 = time.time()
-    with Evaluator(_sim_config(args.sim, rows, cols), args.threads) as ev:
+    with Evaluator(pdn.sim_config(sim, rows, cols), args.threads) as ev:
         result = training.train(records, tcfg, mcfg, ev, val_problems,
+                                keepout_max=keepout_max,
                                 diagnostics_path=args.diagnostics)
     meta = {"best_val": result.best_val, "steps_run": result.steps_run,
             "train_config": tcfg.to_dict(), "wall_time_s": time.time() - t0,
-            "seed": args.seed, "blas_threads": result.blas_threads}
+            "seed": args.seed, "blas_threads": result.blas_threads,
+            "sim": sim, "keepout_max": keepout_max, "board": [rows, cols]}
     pol.save_policy(args.out, result.store, mcfg, meta)
     if args.log:
         training.write_train_log(args.log, result.log_rows)
@@ -128,7 +129,7 @@ def cmd_eval(args) -> int:
     policy, meta = pol.load_policy(args.checkpoint)
     problems = read_problem_file(args.problems)
     rows, cols = _board_of(problems)
-    sim = _sim_config(args.sim, rows, cols)
+    sim = pdn.sim_config(args.sim, rows, cols)
     t0 = time.time()
     outs = pol.rollout_batch(problems, policy.store, policy.cfg,
                              "greedy", args.k)
@@ -202,7 +203,7 @@ def min_k_for_target(problem: Problem, target: float, k_max: int,
 def cmd_min_k(args) -> int:
     problems = read_problem_file(args.problems)
     rows, cols = _board_of(problems)
-    sim = _sim_config(args.sim, rows, cols)
+    sim = pdn.sim_config(args.sim, rows, cols)
     policy = None
     if args.checkpoint:
         policy, _ = pol.load_policy(args.checkpoint)
@@ -229,7 +230,7 @@ def cmd_min_k(args) -> int:
 def cmd_baselines(args) -> int:
     problems = read_problem_file(args.problems)
     rows, cols = _board_of(problems)
-    ev = Evaluator(_sim_config(args.sim, rows, cols), args.threads)
+    ev = Evaluator(pdn.sim_config(args.sim, rows, cols), args.threads)
     ev.bare_profile(problems[0])
     report = BenchReport(problems)
     t0 = time.time()
@@ -265,7 +266,7 @@ def cmd_baselines(args) -> int:
 def cmd_report(args) -> int:
     report = BenchReport.load(args.report)
     rows, cols = _board_of(report.problems)
-    ev = Evaluator(_sim_config(args.sim, rows, cols), args.threads)
+    ev = Evaluator(pdn.sim_config(args.sim, rows, cols), args.threads)
     if args.verify:
         with ev:
             report.verify(ev)
@@ -303,17 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decoupling-capacitor placement benchmark suite")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, sim=True):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="threads that eval, min-k, baselines, gen "
-                            "--expert and report --verify score a batch of "
+                            "--expert, report --verify and train's "
+                            "validation score a batch of "
                             "placements on, when a placement has at least "
                             f"{PARALLEL_MIN_PORTS} ports (fewer run on one "
                             "thread); at 2 or more, train runs a large "
                             "enough self term beside its imitation term; "
                             "results do not depend on this value")
-        p.add_argument("--sim", choices=("chip", "paper"), default="chip")
+        if sim:  # train takes its simulator from the dataset header
+            p.add_argument("--sim", choices=pdn.SIM_PRESETS, default="chip")
 
     g = sub.add_parser("gen", help="generate problem splits and expert labels")
     common(g)
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="train the placement policy")
-    common(t)
+    common(t, sim=False)
     t.add_argument("--dataset", required=True)
     t.add_argument("--val-problems", required=True)
     t.add_argument("--preset", choices=("paper", "toy"), default="toy")

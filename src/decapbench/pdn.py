@@ -601,3 +601,29 @@ def chip_only_config(n_rows: int, n_cols: int,
     """Single-layer chip stack; the fast desk-scale configuration."""
     stack = StackSpec(chip=GridSpec(n_rows, n_cols, CHIP_CELL))
     return SimConfig(stack, DecapModel(), grid or default_freq_grid())
+
+
+# The named simulator presets: `--sim` values and dataset-header `sim`s.
+SIM_PRESETS = ("chip", "paper")
+
+
+def sim_config(name: str, n_rows: int, n_cols: int) -> SimConfig:
+    """The preset called name on an n_rows x n_cols board."""
+    if name == "paper":
+        cfg = paper_scale_config()
+        if (n_rows, n_cols) != (cfg.stack.chip.n_rows, cfg.stack.chip.n_cols):
+            raise ContractViolation("paper stack is fixed at 10x10")
+        return cfg
+    if name == "chip":
+        return chip_only_config(n_rows, n_cols)
+    raise ContractViolation(f"unknown simulator preset {name!r}")
+
+
+def sim_preset(config: SimConfig) -> str | None:
+    """The name of the preset that equals config on its board, or None."""
+    if config == paper_scale_config():
+        return "paper"
+    chip = config.stack.chip
+    if config == chip_only_config(chip.n_rows, chip.n_cols):
+        return "chip"
+    return None

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .env import Problem, board_xy, encode_features
-from .errors import ContractViolation, check_schema
+from .errors import ContractViolation, NumericFailure, check_schema
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,8 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
     """Autoregressive decode for a batch; returns [(placement, logp), ...].
 
     Each step is a one-step decode() over the same DecoderCache. Greedy
-    mode breaks ties toward the lowest port index.
+    mode breaks ties toward the lowest port index; sample mode raises
+    NumericFailure before a draw from non-finite probabilities.
     """
     if mode not in ("greedy", "sample"):
         raise ContractViolation("mode must be 'greedy' or 'sample'")
@@ -325,6 +326,10 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
             if mode == "greedy":
                 actions = np.argmax(probs, axis=1)
             else:
+                if not np.isfinite(probs).all():
+                    raise NumericFailure(
+                        f"non-finite action probabilities (decode step "
+                        f"{t + 1} of {k})")
                 actions = np.empty(bsz, dtype=np.int64)
                 for i in range(bsz):
                     p = probs[i] / probs[i].sum()

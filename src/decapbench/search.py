@@ -10,18 +10,22 @@ import numpy as np
 
 from .env import PROBLEM_SCHEMA, Evaluator, Problem, validate_placement
 from .errors import ContractViolation, check_schema
+from .pdn import sim_preset
 
 DATASET_SCHEMA_VERSION = 1
 
 # The JSONL lines of an expert dataset: a header, then one record per line.
+# The header fixes the simulator preset (sim) and keep-out cap of `train`.
 DATASET_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "array",
     "minItems": 1,
     "prefixItems": [{
         "type": "object",
-        "properties": {"schema_version": {"const": DATASET_SCHEMA_VERSION}},
-        "required": ["schema_version"],
+        "properties": {"schema_version": {"const": DATASET_SCHEMA_VERSION},
+                       "sim": {"type": ["string", "null"]},
+                       "keepout_max": {"type": "integer", "minimum": 0}},
+        "required": ["schema_version", "sim", "keepout_max"],
     }],
     "items": {
         "type": "object",
@@ -184,7 +188,9 @@ def build_expert_dataset(path, n_problems: int, k: int, ga_cfg: GaConfig,
                          evaluator: Evaluator, problem_seed: int,
                          n_rows: int, n_cols: int, keepout_max: int = 15,
                          exclude_hashes=(), problems=None) -> list:
-    """GA-label n_problems disjoint problems and write them as JSONL."""
+    """GA-label n_problems disjoint problems and write them as JSONL. The
+    header records keepout_max, the cap the problems were drawn with, and
+    the preset name of evaluator's configuration (sim_preset)."""
     if n_problems < 1:
         raise ContractViolation("need at least one problem")
     if problems is None:
@@ -195,7 +201,9 @@ def build_expert_dataset(path, n_problems: int, k: int, ga_cfg: GaConfig,
                         evaluator)
                for i, prob in enumerate(problems)]
     write_expert_dataset(path, records, k=k,
-                         total_simulations=ga_cfg.budget * n_problems)
+                         total_simulations=ga_cfg.budget * n_problems,
+                         keepout_max=keepout_max,
+                         sim=sim_preset(evaluator.config))
     return records
 
 

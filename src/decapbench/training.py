@@ -207,7 +207,6 @@ class TrainConfig:
     val_interval: int = 50
     patience: int = 20             # validation rounds without improvement
     seed: int = 0
-    keepout_max: int = 15
     self_batch: int | None = None  # defaults to batch_size
 
     def __post_init__(self):
@@ -224,7 +223,7 @@ class TrainConfig:
 def toy_train_config(**overrides) -> TrainConfig:
     base = dict(learning_rate=1e-3, batch_size=25, permutations=4,
                 lambda_eff=1e3, k=4, max_steps=800, val_interval=100,
-                patience=20, keepout_max=4, self_batch=16)
+                patience=20, self_batch=16)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -293,12 +292,27 @@ def _self_problem_stream(board, keepout_max: int, excluded_hashes, rng):
         yield p
 
 
+def _fail(diagnostics_path, tcfg: TrainConfig, step: int, message: str,
+          **values):
+    """Raise NumericFailure for a training step, first writing the step,
+    the message, values and the train config to diagnostics_path, when
+    one is given."""
+    state = {"step": step, "message": message, **values,
+             "train_config": tcfg.to_dict()}
+    if diagnostics_path:
+        with open(diagnostics_path, "w") as fh:
+            json.dump(state, fh, indent=2, sort_keys=True)
+    raise NumericFailure(f"{message} at step {step}: {state}")
+
+
 def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
-          evaluator: Evaluator, val_problems, store=None,
-          order_bias_samples: int = 32, diagnostics_path=None) -> TrainResult:
+          evaluator: Evaluator, val_problems, *, keepout_max: int,
+          store=None, order_bias_samples: int = 32,
+          diagnostics_path=None) -> TrainResult:
     """Mini-batch descent on the combined loss with greedy validation and
     early stopping on the best validation score. Deterministic per seed.
-    The self-term problems are drawn on the expert records' board.
+    The self-term problems are drawn on the expert records' board with up
+    to keepout_max keep-outs, the cap the records were drawn with.
 
     Every loaded OpenBLAS runs at one thread until train returns or
     raises, and then gets its old count back; result.blas_threads records
@@ -306,7 +320,8 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     a spare evaluator thread and a self term of at least
     PARALLEL_MIN_SELF_ELEMENTS, each step's self term runs on
     evaluator.run_beside, beside the imitation term; the results do not
-    depend on evaluator.threads."""
+    depend on evaluator.threads. A NumericFailure in a step, or a
+    non-finite loss, writes diagnostics_path (_fail) and raises."""
     if not val_problems:
         raise ContractViolation("need validation problems")
     val_hashes = {p.canonical_hash() for p in val_problems}
@@ -322,9 +337,13 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     boards = {(r.problem.n_rows, r.problem.n_cols) for r in records}
     if len(boards) != 1:
         raise ContractViolation("expert records must share one board size")
-    rng = np.random.Generator(np.random.PCG64(tcfg.seed + 1))
     board = boards.pop()
-    stream = _self_problem_stream(board, tcfg.keepout_max, val_hashes, rng)
+    if not 0 <= keepout_max < board[0] * board[1] - 1:
+        raise ContractViolation(
+            f"keepout_max {keepout_max} does not fit the "
+            f"{board[0]}x{board[1]} board")
+    rng = np.random.Generator(np.random.PCG64(tcfg.seed + 1))
+    stream = _self_problem_stream(board, keepout_max, val_hashes, rng)
     if store is None:
         store = pol.init_params(mcfg)
     opt = Adam(store, tcfg.learning_rate)
@@ -348,17 +367,15 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
             batch = [data[order.pop()] for _ in range(tcfg.batch_size)]
             problems = [next(stream) for _ in range(self_batch)] \
                 if tcfg.lambda_eff else []
-            loss, l_exp, l_self = total_loss(batch, problems, store, None,
-                                             mcfg, tcfg.k, tcfg.lambda_eff,
-                                             rng, run)
+            try:
+                loss, l_exp, l_self = total_loss(batch, problems, store,
+                                                 None, mcfg, tcfg.k,
+                                                 tcfg.lambda_eff, rng, run)
+            except NumericFailure as exc:
+                _fail(diagnostics_path, tcfg, step_i, str(exc))
             if not np.isfinite(loss.data):
-                state = {"step": step_i, "expert_loss": l_exp,
-                         "self_loss": l_self, "train_config": tcfg.to_dict()}
-                if diagnostics_path:
-                    with open(diagnostics_path, "w") as fh:
-                        json.dump(state, fh, indent=2, sort_keys=True)
-                raise NumericFailure(
-                    f"non-finite loss at step {step_i}: {state}")
+                _fail(diagnostics_path, tcfg, step_i, "non-finite loss",
+                      expert_loss=l_exp, self_loss=l_self)
             store.zero_grad()
             loss.backward()
             opt.step()
@@ -387,11 +404,12 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
 
 
 def validate(store, mcfg, evaluator: Evaluator, problems, k: int) -> float:
-    """Mean objective of one greedy rollout per problem (single-shot)."""
-    outs = pol.rollout_batch(list(problems), store, mcfg, "greedy", k)
-    scores = [evaluator.evaluate(p, placement)
-              for p, (placement, _) in zip(problems, outs)]
-    return float(np.mean(scores))
+    """Mean objective of one greedy rollout per problem (single-shot),
+    scored as one evaluator.evaluate_all batch."""
+    problems = list(problems)
+    outs = pol.rollout_batch(problems, store, mcfg, "greedy", k)
+    return float(np.mean(evaluator.evaluate_all(
+        problems, [placement for placement, _ in outs])))
 
 
 def write_train_log(path, rows) -> None:
@@ -436,7 +454,7 @@ def directional_experiment(seeds, arms) -> dict:
             tcfg = toy_train_config(seed=seed, patience=1000,
                                     **train_overrides)
             mcfg = pol.toy_config(init_seed=seed, **model_overrides)
-            res = train(records, tcfg, mcfg, ev, val)
+            res = train(records, tcfg, mcfg, ev, val, keepout_max=4)
             policy = pol.DevFormerPolicy(res.final_store, mcfg)
             runs[(arm, seed)] = {
                 "best_val": res.best_val,

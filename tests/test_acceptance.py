@@ -295,9 +295,9 @@ def test_10_zero_shot_transfer(tmp_path):
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=10, permutations=2,
                           lambda_eff=0.0, k=8, max_steps=40, val_interval=20,
-                          patience=10, keepout_max=15)
+                          patience=10)
     mcfg = pol.toy_config()
-    res = tr.train(records, tcfg, mcfg, ev10, val)
+    res = tr.train(records, tcfg, mcfg, ev10, val, keepout_max=15)
     ckpt = tmp_path / "model10.ckpt"
     pol.save_policy(ckpt, res.store, mcfg)
     policy, _ = pol.load_policy(ckpt)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from decapbench import autodiff as ad
-from decapbench import pdn
+from decapbench import pdn, training
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                             LOOKAHEAD_TIE_RTOL, _lookahead_pick, build_parser,
                             greedy_sim_placement, main, min_k_for_target)
@@ -79,6 +79,92 @@ def test_train_meta_records_blas_threads(checkpoint):
     _, _, meta = ad.load_checkpoint(checkpoint)
     with ad.blas_threads() as found:
         assert meta["blas_threads"] == (1 if found else None)
+
+
+def _gen_expert(out, *flags):
+    """gen --expert with cheap GA labels, no test split and flags."""
+    assert run("gen", "--train", 6, "--val", 3, "--test", 0, "--expert",
+               "--k", 2, "--ga-population", 2, "--ga-generations", 1,
+               "--ga-elites", 0, "--out", out, *flags) == EXIT_OK
+    return out / "expert_dataset.jsonl", out / "val_problems.json"
+
+
+def _train_args(dataset, val, out):
+    return ("train", "--dataset", dataset, "--val-problems", val,
+            "--preset", "toy", "--k", 2, "--batch", 8, "--steps", 2,
+            "--threads", 1, "--out", out)
+
+
+def test_train_draws_self_term_problems_with_the_dataset_keepout_max(
+        tmp_path, monkeypatch):
+    # The toy preset's problems had at most 4 keep-outs; the dataset's cap
+    # of 6 now sets the self-term draws (32 here, uniform in 0..6 each).
+    dataset, val = _gen_expert(tmp_path, "--rows", 5, "--cols", 5,
+                               "--keepout-max", 6)
+    drawn = []
+    self_loss = training.self_loss
+
+    def spy(problems, *args, **kwargs):
+        drawn.extend(len(p.keepout) for p in problems)
+        return self_loss(problems, *args, **kwargs)
+
+    monkeypatch.setattr(training, "self_loss", spy)
+    out = tmp_path / "m.ckpt"
+    assert run(*_train_args(dataset, val, out)) == EXIT_OK
+    assert len(drawn) == 32 and 4 < max(drawn) <= 6
+    _, _, meta = ad.load_checkpoint(out)
+    assert (meta["sim"], meta["keepout_max"], meta["board"]) == \
+        ("chip", 6, [5, 5])
+
+
+def test_train_validates_on_the_dataset_simulator(tmp_path, monkeypatch):
+    dataset, val = _gen_expert(tmp_path, "--sim", "paper")
+    configs = []
+    validate = training.validate
+
+    def spy(store, mcfg, evaluator, *args):
+        configs.append(evaluator.config)
+        return validate(store, mcfg, evaluator, *args)
+
+    monkeypatch.setattr(training, "validate", spy)
+    out = tmp_path / "m.ckpt"
+    assert run(*_train_args(dataset, val, out), "--lambda", 0) == EXIT_OK
+    assert configs == [pdn.paper_scale_config()]
+    _, _, meta = ad.load_checkpoint(out)
+    assert (meta["sim"], meta["keepout_max"], meta["board"]) == \
+        ("paper", 15, [10, 10])
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda h: h.pop("sim"), "'sim'"),
+    (lambda h: h.pop("keepout_max"), "'keepout_max'"),
+    (lambda h: h.update(sim=None), "'sim'"),
+    (lambda h: h.update(sim="board"), "'sim'")],
+    ids=["no-sim", "no-keepout-max", "null-sim", "unknown-sim"])
+def test_exit_code_dataset_header_without_sim_or_keepout_max(
+        workdir, tmp_path, capsys, edit, field):
+    lines = (workdir / "expert_dataset.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    bad = tmp_path / "old.jsonl"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    out = tmp_path / "m.ckpt"
+    assert run(*_train_args(bad, workdir / "val_problems.json", out)) == \
+        EXIT_CONTRACT
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_has_no_sim_flag(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run("train", "--help")
+    assert "--sim" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(*_train_args(workdir / "expert_dataset.jsonl",
+                         workdir / "val_problems.json", tmp_path / "m.ckpt"),
+            "--sim", "chip")
+    assert exc.value.code == EXIT_CONTRACT
+    assert "--sim" in capsys.readouterr().err
 
 
 def test_eval_and_report_verify(workdir, checkpoint, tmp_path):

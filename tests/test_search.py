@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decapbench import pdn
 from decapbench.cli import greedy_sim_placement
 from decapbench.env import (PARALLEL_MIN_PORTS, Evaluator, Problem,
                             gen_problem_set)
@@ -123,10 +124,30 @@ def test_dataset_round_trip(tmp_path, eval3):
     assert [r.problem for r in again] == [r.problem for r in recs]
 
 
+@pytest.mark.parametrize("config, board, sim", [
+    (pdn.chip_only_config(3, 3), 3, "chip"),
+    (pdn.paper_scale_config(), 10, "paper"),
+    (pdn.chip_only_config(3, 3, pdn.make_freq_grid(21, 2.0e8, 2.0e10)), 3,
+     None)], ids=["chip", "paper", "custom-grid"])
+def test_dataset_header_records_sim_preset_and_keepout_max(tmp_path, config,
+                                                          board, sim):
+    # sim names the preset that equals the evaluator's configuration; a
+    # configuration no preset equals (here a 21-point grid) writes null.
+    probs = gen_problem_set(3, 1, board, board, 1)
+    path = tmp_path / "expert.jsonl"
+    build_expert_dataset(path, 1, 2, GaConfig(population=2, generations=1,
+                                              elites=0),
+                         Evaluator(config), problem_seed=3, n_rows=board,
+                         n_cols=board, keepout_max=1, problems=probs)
+    _, header = read_expert_dataset(path)
+    assert header["sim"] == sim and pdn.sim_preset(config) == sim
+    assert header["keepout_max"] == 1
+
+
 def test_dataset_rejects_infeasible_record(tmp_path):
     p = Problem(3, 3, 4, frozenset({0}))
     rec = ExpertRecord(p, (0, 1), 1.0, 1, 0)   # keep-out port in placement
     path = tmp_path / "bad.jsonl"
-    write_expert_dataset(path, [rec])
-    with pytest.raises(ContractViolation):
+    write_expert_dataset(path, [rec], sim="chip", keepout_max=1)
+    with pytest.raises(ContractViolation, match="infeasible action 0"):
         read_expert_dataset(path)

@@ -9,7 +9,8 @@ import pytest
 from decapbench import autodiff as ad
 from decapbench import policy as pol
 from decapbench import training as tr
-from decapbench.env import Evaluator, Problem, gen_problem, gen_problem_set
+from decapbench.env import (PARALLEL_MIN_PORTS, Evaluator, Problem,
+                            gen_problem, gen_problem_set)
 from decapbench.errors import ContractViolation, NumericFailure
 from decapbench.search import ExpertRecord, ga_solve, GaConfig
 from order_bias_reference import SequentialUniformPolicy, theorem_check
@@ -227,8 +228,9 @@ def test_train_smoke_and_log(eval3, tmp_path):
     val = gen_problem_set(77, 4, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
                           lambda_eff=10.0, k=2, max_steps=20, val_interval=10,
-                          patience=5, keepout_max=2, self_batch=2)
-    res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=8)
+                          patience=5, self_batch=2)
+    res = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
+                   order_bias_samples=8)
     assert res.steps_run == 20
     assert res.best_val > 0
     assert res.final_store is not None
@@ -247,11 +249,11 @@ def test_train_nan_after_relu_reaches_non_finite_guard(eval3):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(79, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
-                          max_steps=1, keepout_max=2)
+                          max_steps=1)
     store = pol.init_params(CFG)
     store["enc0.ff1.b"].data[0] = np.nan
     with pytest.raises(NumericFailure):
-        tr.train(recs, tcfg, CFG, eval3, val, store=store)
+        tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2, store=store)
 
 
 @pytest.mark.parametrize("max_steps, patience", [(7, 5), (40, 1)],
@@ -264,9 +266,10 @@ def test_last_log_row_validates_final_store(eval3, max_steps, patience):
     val = gen_problem_set(80, 3, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=5e-2, batch_size=4, permutations=1,
                           lambda_eff=10.0, k=2, max_steps=max_steps,
-                          val_interval=3, patience=patience, keepout_max=2,
-                          self_batch=2, seed=2)
-    res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=4)
+                          val_interval=3, patience=patience, self_batch=2,
+                          seed=2)
+    res = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
+                   order_bias_samples=4)
     stopped_early = res.steps_run < max_steps
     assert stopped_early == (patience == 1)
     assert res.log_rows[-1]["step"] == res.steps_run
@@ -278,7 +281,7 @@ def test_train_rejects_val_overlap(eval3):
     recs, probs = _tiny_dataset(eval3, n=3)
     tcfg = tr.TrainConfig(k=2, max_steps=1, batch_size=1)
     with pytest.raises(ContractViolation):
-        tr.train(recs, tcfg, CFG, eval3, [probs[0]])
+        tr.train(recs, tcfg, CFG, eval3, [probs[0]], keepout_max=2)
 
 
 def test_train_rejects_records_on_two_boards(eval3):
@@ -288,9 +291,9 @@ def test_train_rejects_records_on_two_boards(eval3):
     recs.append(ExpertRecord(other, (0, 1), 1.0, 1, 0))
     val = gen_problem_set(83, 1, 3, 3, 2,
                           exclude_hashes={p.canonical_hash() for p in probs})
-    tcfg = tr.TrainConfig(k=2, max_steps=1, batch_size=1, keepout_max=2)
+    tcfg = tr.TrainConfig(k=2, max_steps=1, batch_size=1)
     with pytest.raises(ContractViolation, match="expert records"):
-        tr.train(recs, tcfg, CFG, eval3, val)
+        tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2)
 
 
 def test_train_deterministic_given_seed(eval3):
@@ -299,9 +302,11 @@ def test_train_deterministic_given_seed(eval3):
     val = gen_problem_set(78, 3, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
                           lambda_eff=10.0, k=2, max_steps=6, val_interval=3,
-                          patience=5, keepout_max=2, self_batch=2, seed=9)
-    a = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=4)
-    b = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=4)
+                          patience=5, self_batch=2, seed=9)
+    a = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
+                 order_bias_samples=4)
+    b = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
+                 order_bias_samples=4)
     assert a.log_rows == b.log_rows
     for name in a.store.params:
         assert np.array_equal(a.store[name].data, b.store[name].data)
@@ -330,9 +335,9 @@ def test_train_rejects_dataset_smaller_than_batch(eval3):
     val = gen_problem_set(80, 2, 3, 3, 2, exclude_hashes=hashes)
     # 4 records with 4 reordered copies each augment to 20 rows < 25
     tcfg = tr.TrainConfig(batch_size=25, permutations=4, lambda_eff=0.0, k=2,
-                          max_steps=1, keepout_max=2)
+                          max_steps=1)
     with pytest.raises(ContractViolation, match="batch size"):
-        tr.train(recs, tcfg, CFG, eval3, val)
+        tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2)
 
 
 def _reference_self_loss(problems, store, frozen, cfg, k, rng):
@@ -351,7 +356,8 @@ def _reference_self_loss(problems, store, frozen, cfg, k, rng):
     return ad.mean(ad.mul(ad.Tensor(np.exp(c)), gap))
 
 
-def _reference_train(records, tcfg, mcfg, evaluator, val, order_bias_samples):
+def _reference_train(records, tcfg, mcfg, evaluator, val, order_bias_samples,
+                     keepout_max):
     """train() as a loop that copies the parameters into a snapshot at the
     start of every step and computes the imitation loss first; every step
     is validated."""
@@ -359,7 +365,7 @@ def _reference_train(records, tcfg, mcfg, evaluator, val, order_bias_samples):
     rng = make_rng(tcfg.seed + 1)
     board = (records[0].problem.n_rows, records[0].problem.n_cols)
     stream = tr._self_problem_stream(
-        board, tcfg.keepout_max, {p.canonical_hash() for p in val}, rng)
+        board, keepout_max, {p.canonical_hash() for p in val}, rng)
     store = pol.init_params(mcfg)
     opt = tr.Adam(store, tcfg.learning_rate)
     order, rows = [], []
@@ -397,9 +403,10 @@ def test_train_shared_encode_matches_snapshot_loop(eval3):
     # show in every seed tried (0-7).
     tcfg = tr.TrainConfig(learning_rate=1e-2, batch_size=4, permutations=1,
                           lambda_eff=10.0, k=2, max_steps=3, val_interval=1,
-                          patience=10, keepout_max=2, self_batch=128, seed=4)
-    res = tr.train(recs, tcfg, CFG, eval3, val, order_bias_samples=8)
-    store, rows = _reference_train(recs, tcfg, CFG, eval3, val, 8)
+                          patience=10, self_batch=128, seed=4)
+    res = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
+                   order_bias_samples=8)
+    store, rows = _reference_train(recs, tcfg, CFG, eval3, val, 8, 2)
     assert res.steps_run == 3
     assert res.log_rows == rows
     assert all(r["self_loss"] > 0.0 for r in rows)
@@ -458,11 +465,12 @@ def test_self_term_step_runs_three_encodes(eval3, monkeypatch):
     val = gen_problem_set(82, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0, k=2,
                           max_steps=2, val_interval=10,
-                          keepout_max=2, self_batch=2)
+                          self_batch=2)
     for threads in (1, 2):
         per_step.clear()
         with Evaluator(eval3.config, threads) as ev:
-            tr.train(recs, tcfg, CFG, ev, val, order_bias_samples=2)
+            tr.train(recs, tcfg, CFG, ev, val, keepout_max=2,
+                     order_bias_samples=2)
         assert per_step == [3, 3], threads
 
 
@@ -475,7 +483,7 @@ def _float32_setup(eval3, max_steps):
     val = gen_problem_set(83, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
                           lambda_eff=10.0, k=2, max_steps=max_steps,
-                          val_interval=3, keepout_max=2, self_batch=2, seed=4)
+                          val_interval=3, self_batch=2, seed=4)
     return recs, val, tcfg
 
 
@@ -494,7 +502,8 @@ def test_float32_train_step_keeps_float64_state(eval3, monkeypatch):
     monkeypatch.setattr(ad, "masked_log_softmax", spy_log_softmax)
     monkeypatch.setattr(tr.Adam, "step", spy_step)
     recs, val, tcfg = _float32_setup(eval3, max_steps=1)
-    res = tr.train(recs, tcfg, CFG32, eval3, val, order_bias_samples=2)
+    res = tr.train(recs, tcfg, CFG32, eval3, val, keepout_max=2,
+                   order_bias_samples=2)
     [opt] = optimizers
     for name, t in res.final_store.params.items():
         assert t.data.dtype == t.grad.dtype == np.float64, name
@@ -508,7 +517,8 @@ def test_float32_train_writes_identical_bytes(eval3, tmp_path):
     recs, val, tcfg = _float32_setup(eval3, max_steps=6)
     blobs = []
     for run in ("a", "b"):
-        res = tr.train(recs, tcfg, CFG32, eval3, val, order_bias_samples=4)
+        res = tr.train(recs, tcfg, CFG32, eval3, val, keepout_max=2,
+                       order_bias_samples=4)
         ckpt, log = tmp_path / f"{run}.ckpt", tmp_path / f"{run}.csv"
         pol.save_policy(ckpt, res.store, CFG32, {"steps_run": res.steps_run})
         tr.write_train_log(log, res.log_rows)
@@ -524,7 +534,8 @@ def _evaluator_threads() -> list:
             if t.name.startswith("evaluator")]
 
 
-def _train_bytes(recs, val, tcfg, mcfg, ev, tmp_path, monkeypatch) -> tuple:
+def _train_bytes(recs, val, tcfg, mcfg, ev, keepout_max, tmp_path,
+                 monkeypatch) -> tuple:
     """The checkpoint and train-log bytes of one train() run, and its Adam
     moments as bytes."""
     optimizers = []
@@ -535,7 +546,8 @@ def _train_bytes(recs, val, tcfg, mcfg, ev, tmp_path, monkeypatch) -> tuple:
         step(opt)
 
     monkeypatch.setattr(tr.Adam, "step", spy_step)
-    res = tr.train(recs, tcfg, mcfg, ev, val, order_bias_samples=4)
+    res = tr.train(recs, tcfg, mcfg, ev, val, keepout_max=keepout_max,
+                   order_bias_samples=4)
     monkeypatch.setattr(tr.Adam, "step", step)
     ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.csv"
     pol.save_policy(ckpt, res.store, mcfg, {"steps_run": res.steps_run})
@@ -559,11 +571,11 @@ def test_train_bytes_do_not_depend_on_evaluator_threads(
     val = gen_problem_set(84, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-2, batch_size=4, permutations=1,
                           lambda_eff=lambda_eff, k=2, max_steps=6,
-                          val_interval=3, keepout_max=2, self_batch=3, seed=5)
+                          val_interval=3, self_batch=3, seed=5)
     runs = []
     for threads in (1, 2):
         with Evaluator(eval3.config, threads) as ev:
-            runs.append(_train_bytes(recs, val, tcfg, mcfg, ev, tmp_path,
+            runs.append(_train_bytes(recs, val, tcfg, mcfg, ev, 2, tmp_path,
                                      monkeypatch))
         assert not _evaluator_threads()
     assert runs[0] == runs[1]
@@ -624,8 +636,8 @@ def test_train_bytes_do_not_depend_on_blas_count(eval5, tmp_path,
     runs = []
     for n in (2, 1):
         with ad.blas_threads(n):
-            runs.append(_train_bytes(recs, val, tcfg, TOY, eval5, tmp_path,
-                                     monkeypatch))
+            runs.append(_train_bytes(recs, val, tcfg, TOY, eval5, 4,
+                                     tmp_path, monkeypatch))
             assert _blas_counts() == [n] * len(before)
     assert runs[0] == runs[1]
     assert _blas_counts() == before
@@ -639,12 +651,12 @@ def test_train_restores_blas_count_when_it_raises(eval3):
     val = gen_problem_set(85, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
-                          max_steps=1, keepout_max=2)
+                          max_steps=1)
     store = pol.init_params(CFG)
     store["enc0.ff1.b"].data[0] = np.nan
     with ad.blas_threads(2):
         with pytest.raises(NumericFailure):
-            tr.train(recs, tcfg, CFG, eval3, val, store=store)
+            tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2, store=store)
         assert _blas_counts() == [2] * len(before)
     assert _blas_counts() == before
 
@@ -660,7 +672,7 @@ def test_self_branch_failure_on_the_worker_surfaces_from_train(
     val = gen_problem_set(86, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
-                          k=2, max_steps=2, keepout_max=2, self_batch=2)
+                          k=2, max_steps=2, self_batch=2)
     where = []
     self_loss = tr.self_loss
 
@@ -679,7 +691,7 @@ def test_self_branch_failure_on_the_worker_surfaces_from_train(
     monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", 0)
     with Evaluator(eval3.config, threads=2) as ev:
         with pytest.raises(SelfBranchFailure, match=stage):
-            tr.train(recs, tcfg, CFG, ev, val)
+            tr.train(recs, tcfg, CFG, ev, val, keepout_max=2)
     assert not _evaluator_threads()
     if _blas_counts():
         assert len(where) == 1 and where[0].startswith("evaluator")
@@ -696,11 +708,12 @@ def test_non_finite_self_term_writes_diagnostics(eval3, tmp_path,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1,
                           lambda_eff=math.inf, k=2, max_steps=2,
-                          keepout_max=2, self_batch=2)
+                          self_batch=2)
     diag = tmp_path / "diagnostics.json"
     with Evaluator(eval3.config, threads) as ev:
         with pytest.raises(NumericFailure, match="non-finite loss at step 1"):
-            tr.train(recs, tcfg, CFG, ev, val, diagnostics_path=diag)
+            tr.train(recs, tcfg, CFG, ev, val, keepout_max=2,
+                     diagnostics_path=diag)
     assert not _evaluator_threads()
     state = json.loads(diag.read_text())
     assert state["step"] == 1
@@ -717,7 +730,7 @@ def test_self_term_runs_beside_only_above_the_size_gate(
     val = gen_problem_set(88, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
-                          k=2, max_steps=2, keepout_max=2, self_batch=2)
+                          k=2, max_steps=2, self_batch=2)
     where = []
     self_loss = tr.self_loss
 
@@ -729,8 +742,58 @@ def test_self_term_runs_beside_only_above_the_size_gate(
     if gate is not None:
         monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", gate)
     with Evaluator(eval3.config, threads=2) as ev:
-        tr.train(recs, tcfg, CFG, ev, val, order_bias_samples=2)
+        tr.train(recs, tcfg, CFG, ev, val, keepout_max=2, order_bias_samples=2)
     if beside and not _blas_counts():
         pytest.skip("no OpenBLAS symbol: train runs the branches in turn")
     on_worker = [name.startswith("evaluator") for name in where]
     assert on_worker == [beside, beside]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_non_finite_sampling_writes_diagnostics(eval3, tmp_path, monkeypatch,
+                                                threads):
+    # A NaN parameter reaches the self term's sampling rollout before any
+    # loss is formed; at 2 threads above the gate it fails on the worker.
+    monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", 0)
+    where = []
+    self_loss = tr.self_loss
+
+    def spy(*args, **kwargs):
+        where.append(threading.current_thread().name)
+        return self_loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "self_loss", spy)
+    recs, probs = _tiny_dataset(eval3, n=4)
+    val = gen_problem_set(90, 2, 3, 3, 2,
+                          {p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
+                          k=2, max_steps=2, self_batch=2)
+    store = pol.init_params(CFG)
+    store["enc0.ff1.b"].data[0] = np.nan
+    diag = tmp_path / "diagnostics.json"
+    with Evaluator(eval3.config, threads) as ev:
+        with pytest.raises(NumericFailure,
+                           match="non-finite action probabilities"):
+            tr.train(recs, tcfg, CFG, ev, val, keepout_max=2, store=store,
+                     diagnostics_path=diag)
+    assert not _evaluator_threads()
+    state = json.loads(diag.read_text())
+    assert state["step"] == 1
+    assert "non-finite action probabilities" in state["message"]
+    on_worker = threads == 2 and bool(_blas_counts())
+    assert [name.startswith("evaluator") for name in where] == [on_worker]
+
+
+@pytest.mark.parametrize("k, threads", [(2, 1), (PARALLEL_MIN_PORTS, 1),
+                                        (PARALLEL_MIN_PORTS, 2)])
+def test_validate_scores_greedy_rollouts_in_order(eval5, k, threads):
+    # One evaluate() call per problem, the same scores in the same order
+    # as a loop, whether the batch runs on one thread or on the workers.
+    store = pol.init_params(CFG)
+    val = gen_problem_set(91, 5, 5, 5, 4)
+    outs = pol.rollout_batch(val, store, CFG, "greedy", k)
+    want = float(np.mean([eval5.evaluate(p, placement)
+                          for p, (placement, _) in zip(val, outs)]))
+    with Evaluator(eval5.config, threads) as ev:
+        assert tr.validate(store, CFG, ev, val, k) == want
+        assert ev.count == len(val)
