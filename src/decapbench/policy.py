@@ -295,13 +295,35 @@ def decode_log_prob(h: ad.Tensor, problems, placements,
     return ad.tensor_sum(ad.reshape(picked, (bsz, k)), axis=1)
 
 
+def _sample_actions(probs: np.ndarray, feasible: np.ndarray,
+                    rng) -> np.ndarray:
+    """One port per row of probs (B, N), drawn as a loop of
+    rng.choice(N, p=row / row.sum()) over the rows would draw them: one
+    uniform per row, from one rng.random(B) call, and the first port
+    whose cdf, normalised by its last entry, exceeds it. Raises
+    NumericFailure on a non-finite cdf, before drawing, and on a draw
+    that lands on a port that feasible (B, N) excludes."""
+    p = probs / probs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    if not np.isfinite(cdf).all():
+        raise NumericFailure("non-finite cdf of action probabilities")
+    u = rng.random(len(probs))
+    actions = (cdf <= u[:, None]).sum(axis=1)
+    if not feasible[np.arange(len(actions)), actions].all():
+        raise NumericFailure("an action was drawn on an infeasible port")
+    return actions
+
+
 def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
                   mode: str, k: int, rng=None):
     """Autoregressive decode for a batch; returns [(placement, logp), ...].
 
     Each step is a one-step decode() over the same DecoderCache. Greedy
-    mode breaks ties toward the lowest port index; sample mode raises
-    NumericFailure before a draw from non-finite probabilities.
+    mode breaks ties toward the lowest port index. Sample mode draws one
+    uniform from rng per row and step, the same stream and the same ports
+    as Generator.choice row by row (_sample_actions). Both modes raise
+    NumericFailure at a step whose probabilities are not finite.
     """
     if mode not in ("greedy", "sample"):
         raise ContractViolation("mode must be 'greedy' or 'sample'")
@@ -323,17 +345,14 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
         for t in range(k):
             logp = decode(cache, prev, mask[:, None], store, cfg).data[:, 0]
             probs = np.exp(logp)
+            if not np.isfinite(probs).all():
+                raise NumericFailure(
+                    f"non-finite action probabilities (decode step "
+                    f"{t + 1} of {k})")
             if mode == "greedy":
                 actions = np.argmax(probs, axis=1)
             else:
-                if not np.isfinite(probs).all():
-                    raise NumericFailure(
-                        f"non-finite action probabilities (decode step "
-                        f"{t + 1} of {k})")
-                actions = np.empty(bsz, dtype=np.int64)
-                for i in range(bsz):
-                    p = probs[i] / probs[i].sum()
-                    actions[i] = rng.choice(len(p), p=p)
+                actions = _sample_actions(probs, mask, rng)
             logps += logp[rows, actions]
             chosen[:, t] = actions
             mask[rows, actions] = False

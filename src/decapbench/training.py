@@ -13,16 +13,21 @@ training-mode encode of the self-term problems serves both branches, and no
 copy of the parameters is taken. The snapshot's rollout reads the running
 batch-norm statistics as they stood at the start of the step. train()
 holds OpenBLAS at one thread. It computes the self term first, or, for a
-large enough self term and a spare evaluator thread, on that thread beside
-the imitation term, forward and backward: the two terms are then the
-branches of one autodiff.branch_sum node, and the rollout reads a shallow
-copy of the statistics taken at the start of the step.
+large enough self term and a spare evaluator thread, on two threads: the
+two terms are then the branches of one autodiff.branch_sum node, and the
+rollout reads a shallow copy of the statistics taken at the start of the
+step. The calling thread runs the self term's training-mode encode, which
+needs no sample, then the imitation forward; the worker samples the
+rollout meanwhile, then decodes both self-term branches from the encoding
+the caller handed over. Each branch's backward runs on the thread that
+ran its forward decodes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -85,8 +90,17 @@ def expert_loss(batch, store: ad.ParamStore, cfg: pol.ModelConfig) -> ad.Tensor:
     return ad.scale(ad.mean(lps), -1.0)
 
 
+def _self_encode(problems, store: ad.ParamStore,
+                 cfg: pol.ModelConfig) -> ad.Tensor:
+    """The self term's training-mode encoding of its problems, with the
+    tape; it leaves store's running statistics as they are."""
+    return pol.encode(problems, store, cfg, training=True,
+                      update_running=False)
+
+
 def self_loss(problems, store: ad.ParamStore, frozen: ad.ParamStore | None,
-              cfg: pol.ModelConfig, k: int, rng) -> ad.Tensor:
+              cfg: pol.ModelConfig, k: int, rng,
+              encoding: Future | None = None) -> ad.Tensor:
     """Mean |pi_frozen(a'|x) - pi_theta(t(a')|x)| over sampled trajectories.
 
     frozen is a snapshot of the parameters that receives no gradient;
@@ -102,12 +116,18 @@ def self_loss(problems, store: ad.ParamStore, frozen: ad.ParamStore | None,
     of the step (total_loss). The absolute gap is evaluated as
     e^c * |e^(l1-c) - e^(l2-c)| with c = max(l1, l2) to avoid underflow.
     Gradients flow only through store.
+
+    encoding, when given, is a future of the training-mode encoding
+    (_self_encode(problems, store, cfg)) that another thread computes
+    while this one samples; its result is read after the rollout, and an
+    exception set on it is raised here.
     """
     snapshot = store if frozen is None else frozen
     samples = pol.rollout_batch(problems, snapshot, cfg, "sample", k, rng)
     placements = [s[0] for s in samples]
     transformed = [ap_transform(pl, rng) for pl in placements]
-    h = pol.encode(problems, store, cfg, training=True, update_running=False)
+    h = _self_encode(problems, store, cfg) if encoding is None \
+        else encoding.result()
     if frozen is None:
         with ad.no_grad():
             l_frozen = pol.decode_log_prob(ad.Tensor(h.data), problems,
@@ -135,8 +155,13 @@ def total_loss(batch, problems, store, frozen, cfg: pol.ModelConfig,
     self term works on a leaf view of store whose buffers are a shallow
     copy of store.buffers taken here, so its rollout reads them as they
     stood at the start of the step (batch_norm replaces entries and never
-    writes into them). Both ways give bitwise the same loss and gradients.
-    Only the self term draws from rng.
+    writes into them). The self term's training-mode encode needs no
+    sample, so f runs it first and hands it over through a future, then
+    runs the imitation forward; meanwhile g samples the rollout, then
+    waits for the encoding and decodes both self-term branches. An
+    exception in that encode is set on the future too, so g's wait ends.
+    Both ways give bitwise the same loss and gradients. Only the self
+    term draws from rng.
     """
     if not lambda_eff:
         l_exp = expert_loss(batch, store, cfg)
@@ -147,9 +172,19 @@ def total_loss(batch, problems, store, frozen, cfg: pol.ModelConfig,
         loss = l_exp + ad.scale(l_self, lambda_eff)
     else:
         snap = store.leaf_view(dict(store.buffers))
+        encoding = Future()
+
+        def imitation():
+            try:
+                encoding.set_result(_self_encode(problems, snap, cfg))
+            except BaseException as exc:
+                encoding.set_exception(exc)
+                raise
+            return expert_loss(batch, store, cfg)
+
         loss, l_exp, l_self = ad.branch_sum(
-            store, lambda: expert_loss(batch, store, cfg),
-            snap, lambda: self_loss(problems, snap, frozen, cfg, k, rng),
+            store, imitation, snap,
+            lambda: self_loss(problems, snap, frozen, cfg, k, rng, encoding),
             lambda_eff, run)
     return loss, float(l_exp.data), float(l_self.data)
 
@@ -318,10 +353,11 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     raises, and then gets its old count back; result.blas_threads records
     1, or None where no OpenBLAS symbol is found. With the count pinned,
     a spare evaluator thread and a self term of at least
-    PARALLEL_MIN_SELF_ELEMENTS, each step's self term runs on
-    evaluator.run_beside, beside the imitation term; the results do not
-    depend on evaluator.threads. A NumericFailure in a step, or a
-    non-finite loss, writes diagnostics_path (_fail) and raises."""
+    PARALLEL_MIN_SELF_ELEMENTS, each step runs on two threads through
+    evaluator.run_beside (total_loss); the results do not depend on
+    evaluator.threads. A NumericFailure in a step or in a
+    validation round, or a non-finite loss, writes diagnostics_path
+    (_fail) and raises."""
     if not val_problems:
         raise ContractViolation("need validation problems")
     val_hashes = {p.canonical_hash() for p in val_problems}
@@ -382,10 +418,14 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
             result.steps_run = step_i
 
             if step_i % tcfg.val_interval == 0 or step_i == tcfg.max_steps:
-                val_j = validate(store, mcfg, evaluator, val_problems, tcfg.k)
-                bias = order_bias_estimate(pol.DevFormerPolicy(store, mcfg),
-                                           val_problems, order_bias_samples,
-                                           seed=tcfg.seed + 2, k=tcfg.k)
+                try:
+                    val_j = validate(store, mcfg, evaluator, val_problems,
+                                     tcfg.k)
+                    bias = order_bias_estimate(
+                        pol.DevFormerPolicy(store, mcfg), val_problems,
+                        order_bias_samples, seed=tcfg.seed + 2, k=tcfg.k)
+                except NumericFailure as exc:
+                    _fail(diagnostics_path, tcfg, step_i, str(exc))
                 result.log_rows.append({"step": step_i, "train_nll": l_exp,
                                         "self_loss": l_self, "val_J": val_j,
                                         "order_bias": bias.value})

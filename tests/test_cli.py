@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from decapbench import autodiff as ad
 from decapbench import pdn, training
+from decapbench import policy as pol
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                             LOOKAHEAD_TIE_RTOL, _lookahead_pick, build_parser,
                             greedy_sim_placement, main, min_k_for_target)
@@ -182,6 +183,45 @@ def test_eval_and_report_verify(workdir, checkpoint, tmp_path):
     assert "scores.csv" in files
     assert any(f.endswith("_impedance.svg") for f in files)
     assert any(f.endswith("_board.svg") for f in files)
+
+
+def test_eval_of_non_finite_checkpoint_exits_numeric(workdir, checkpoint,
+                                                     tmp_path, capsys):
+    # greedy decoding would otherwise pick the lowest feasible ports from
+    # NaN probabilities and score them
+    policy, meta = pol.load_policy(checkpoint)
+    policy.store["enc0.ff1.b"].data[0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    pol.save_policy(bad, policy.store, policy.cfg, meta)
+    out = tmp_path / "eval.json"
+    assert run("eval", "--checkpoint", bad,
+               "--problems", workdir / "test_problems.json",
+               "--k", 2, "--out", out) == EXIT_NUMERIC
+    assert "non-finite action probabilities" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_non_finite_validation_writes_diagnostics(workdir, tmp_path,
+                                                        monkeypatch):
+    # The step's loss is finite; the Adam step then leaves a NaN
+    # parameter, which the validation round after the last step meets.
+    step = training.Adam.step
+
+    def nan_step(opt):
+        step(opt)
+        opt.store["enc0.ff1.b"].data[0] = np.nan
+
+    monkeypatch.setattr(training.Adam, "step", nan_step)
+    diag = tmp_path / "diagnostics.json"
+    code = run("train", "--dataset", workdir / "expert_dataset.jsonl",
+               "--val-problems", workdir / "val_problems.json",
+               "--preset", "toy", "--lambda", 0, "--steps", 1, "--batch", 8,
+               "--k", 2, "--out", tmp_path / "m.ckpt", "--diagnostics", diag)
+    assert code == EXIT_NUMERIC
+    state = json.loads(diag.read_text())
+    assert state["step"] == 1
+    assert "non-finite action probabilities" in state["message"]
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from decapbench import autodiff as ad
 from decapbench import policy as pol
 from decapbench.env import Problem, board_xy, encode_features, gen_problem_set
-from decapbench.errors import ContractViolation
+from decapbench.errors import ContractViolation, NumericFailure
 
 
 CFG = pol.toy_config(n_layers=1, d_model=16, n_heads=2, ff_dim=32)
@@ -218,6 +218,65 @@ def test_rollout_masking_never_leaks():
         blocked = p.keepout | {p.probe}
         assert len(set(placement)) == 4
         assert not blocked.intersection(placement)
+
+
+def _choice_loop(probs, rng):
+    """The per-row draw that _sample_actions replaces: the reference."""
+    actions = np.empty(len(probs), dtype=np.int64)
+    for i in range(len(probs)):
+        p = probs[i] / probs[i].sum()
+        actions[i] = rng.choice(len(p), p=p)
+    return actions
+
+
+def _sampler_cases():
+    """(probs, feasible) pairs as rollout_batch makes them: exp of a masked
+    log-softmax, so masked ports hold exact zeros. Rows with one feasible
+    port (first, middle, last), logits rounded through float32 as in the
+    paper preset, and B=1."""
+    gen = make_rng(11)
+    cases = []
+    for bsz, n, dtype, scale in [(1, 2, np.float64, 1.0),
+                                 (1, 100, np.float32, 4.0),
+                                 (7, 9, np.float64, 1.0),
+                                 (16, 25, np.float32, 8.0),
+                                 (39, 119, np.float64, 2.0)]:
+        feasible = gen.random((bsz, n)) < 0.6
+        feasible[np.arange(bsz), gen.integers(n, size=bsz)] = True
+        if bsz > 1:
+            for row, port in zip(range(3), (0, n // 2, n - 1)):
+                feasible[row] = False
+                feasible[row, port] = True
+        logits = (gen.normal(size=(bsz, n)) * scale).astype(dtype)
+        logp = ad.masked_log_softmax(ad.Tensor(logits.astype(np.float64)),
+                                     feasible).data
+        cases.append((np.exp(logp), feasible))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_call_draw_matches_per_row_choice(seed):
+    reference, one_call = make_rng(seed), make_rng(seed)
+    for probs, feasible in _sampler_cases():
+        assert (probs[~feasible] == 0.0).all()
+        for _ in range(20):
+            want = _choice_loop(probs, reference)
+            got = pol._sample_actions(probs, feasible, one_call)
+            assert np.array_equal(got, want)
+    assert one_call.bit_generator.state == reference.bit_generator.state
+
+
+def test_one_call_draw_rejects_non_finite_and_infeasible_draws():
+    rng = make_rng(4)
+    state = rng.bit_generator.state
+    probs = np.full((2, 4), 0.25)
+    probs[1, 2] = np.nan
+    with pytest.raises(NumericFailure, match="non-finite cdf"):
+        pol._sample_actions(probs, np.ones((2, 4), bool), rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(NumericFailure, match="infeasible port"):
+        pol._sample_actions(np.full((2, 4), 0.25), np.zeros((2, 4), bool),
+                            rng)
 
 
 def test_sequence_log_prob_rejects_infeasible():

@@ -697,6 +697,38 @@ def test_self_branch_failure_on_the_worker_surfaces_from_train(
         assert len(where) == 1 and where[0].startswith("evaluator")
 
 
+class SelfEncodeFailure(Exception):
+    pass
+
+
+def test_caller_self_encode_failure_ends_the_workers_wait(
+        eval3, monkeypatch, run_with_timeout):
+    # Above the gate the calling thread encodes the self-term problems
+    # and hands the encoding to the worker, which waits for it after its
+    # rollout; an encode that raises first must end that wait.
+    recs, probs = _tiny_dataset(eval3, n=4)
+    val = gen_problem_set(92, 2, 3, 3, 2,
+                          {p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
+                          k=2, max_steps=2, self_batch=2)
+    where = []
+
+    def failing_encode(*args):
+        where.append(threading.current_thread().name)
+        raise SelfEncodeFailure("encode")
+
+    def train():
+        with Evaluator(eval3.config, threads=2) as ev:
+            tr.train(recs, tcfg, CFG, ev, val, keepout_max=2)
+
+    monkeypatch.setattr(tr, "_self_encode", failing_encode)
+    monkeypatch.setattr(tr, "PARALLEL_MIN_SELF_ELEMENTS", 0)
+    exc = run_with_timeout(train, timeout_s=60)
+    assert isinstance(exc, SelfEncodeFailure)
+    assert not _evaluator_threads()
+    assert len(where) == 1 and not where[0].startswith("evaluator")
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_non_finite_self_term_writes_diagnostics(eval3, tmp_path,
                                                  monkeypatch, threads):
