@@ -37,6 +37,11 @@ def _board_of(problems) -> tuple:
     return boards.pop()
 
 
+def _calls(ev: Evaluator) -> str:
+    """The evaluator's simulator calls and the terminations it solved."""
+    return f"{ev.count} simulator calls, {ev.solves} terminations solved"
+
+
 # --- gen ----------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
@@ -69,8 +74,7 @@ def cmd_gen(args) -> int:
                                  n_cols=args.cols,
                                  keepout_max=args.keepout_max,
                                  problems=splits["train"])
-        print(f"wrote {path} ({ev.count} simulator calls, "
-              f"{time.time() - t0:.1f}s)")
+        print(f"wrote {path} ({_calls(ev)}, {time.time() - t0:.1f}s)")
     return EXIT_OK
 
 
@@ -215,6 +219,7 @@ def cmd_min_k(args) -> int:
             results.append(rec)
             status = f"K={rec['min_k']}" if rec["met"] else "unmet"
             print(f"problem {i}: {status} (J={rec['achieved']:.6f})")
+    print(_calls(ev))
     doc = {"target": args.target, "k_max": args.k_max, "results": results,
            "seed": args.seed,
            "method": "policy" if policy else "greedy-sim"}
@@ -258,6 +263,7 @@ def cmd_baselines(args) -> int:
     for row in report.rows:
         print(f"{row.method}: M={row.budget} mean J {row.mean_score:.6f} "
               f"(std {row.std_score:.6f})")
+    print(_calls(ev))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -169,11 +170,22 @@ def gen_problem_set(seed, count: int, n_rows: int, n_cols: int,
     return out
 
 
+def _port(a) -> int:
+    """a as a port index: an integer (Python or numpy) or an integral
+    float such as JSON's 1.0. A bool or a non-integral value is rejected,
+    where int() would truncate it to some other port."""
+    if not isinstance(a, bool) and (
+            isinstance(a, numbers.Integral)
+            or isinstance(a, numbers.Real) and float(a).is_integer()):
+        return int(a)
+    raise ContractViolation(f"action {a!r} is not an integer")
+
+
 def validate_placement(problem: Problem, placement) -> tuple:
-    """Check the trajectory is feasible step by step: every port on the
-    board, distinct, and neither the probe nor a keep-out. Return it as a
-    tuple of ints."""
-    chosen = tuple(int(a) for a in placement)
+    """Check the trajectory is feasible step by step: every port an
+    integer on the board, distinct, and neither the probe nor a keep-out.
+    Return it as a tuple of ints."""
+    chosen = tuple(a if type(a) is int else _port(a) for a in placement)
     free = problem.allowed_mask.tolist()
     for a in chosen:
         if not (0 <= a < len(free) and free[a]):
@@ -208,15 +220,21 @@ def encode_features(problem: Problem) -> np.ndarray:
 
 
 class Evaluator:
-    """Scores placements against the simulator, caching the bare sweep.
+    """Scores placements against the simulator, caching the bare sweep and
+    the scores of the problem being scored.
 
     The bare port-impedance sweep depends only on the stack, so one sweep
     per board size serves every problem and placement. Each evaluate()
-    performs one Schur termination per frequency and counts as one
-    simulator call. Safe to share between threads. evaluate_all() scores
-    a batch on up to `threads` threads, and run_beside() runs a second
-    task beside the caller's on a worker; close() (or leaving a `with`
-    block) stops the worker threads.
+    counts as one simulator call (`count`). J is a pure function of the
+    probe's sweep row and the multiset of the decap ports' sweep rows, so
+    for the problem being scored each distinct termination is solved once
+    (`solves`) and its repeats return the stored J, bit-identical to a
+    fresh solve. Scoring another problem drops the stored scores; a failed
+    solve is never stored. Safe to share between threads: a thread that
+    asks for a termination another thread is solving waits for that solve.
+    evaluate_all() scores a batch on up to `threads` threads, and
+    run_beside() runs a second task beside the caller's on a worker;
+    close() (or leaving a `with` block) stops the worker threads.
     """
 
     def __init__(self, config: pdn.SimConfig, threads: int = 1):
@@ -225,9 +243,16 @@ class Evaluator:
         self.config = config
         self.threads = threads
         self._sweep: pdn.FrequencySweepZ | None = None
+        self._port_rows: list = []
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self.count = 0
+        self.solves = 0
+        # The problem whose scores _memo holds, and those scores keyed on
+        # (probe row, sorted decap rows): J, or a held Lock while a thread
+        # solves that termination.
+        self._memo_problem: Problem | None = None
+        self._memo: dict = {}
 
     def __enter__(self) -> "Evaluator":
         return self
@@ -249,6 +274,9 @@ class Evaluator:
                 stack = self.config.stack
                 ports = range(stack.chip.n_cells)
                 self._sweep = pdn.solve_z_ports(stack, ports, self.config.grid)
+                # The sweep's ports are 0..n-1 in order, so entry p is the
+                # sweep row of port p.
+                self._port_rows = self._sweep.port_rows.tolist()
             return self._sweep
 
     def _workers(self) -> ThreadPoolExecutor:
@@ -289,13 +317,44 @@ class Evaluator:
                                  list(placement), self.config.decap)
 
     def evaluate(self, problem: Problem, placement) -> float:
-        """Objective J for one placement; exactly permutation-invariant."""
-        z_init = self.bare_profile(problem)
+        """Objective J for one placement; exactly permutation-invariant,
+        and equal for ports that share a network node. One simulator call
+        whether or not its termination was solved before."""
+        self._check_board(problem)
         placement = validate_placement(problem, placement)
-        z_final = self.final_profile(problem, placement)
+        self._bare_sweep()
+        rows = self._port_rows
+        key = (rows[problem.probe], tuple(sorted(rows[a] for a in placement)))
         with self._lock:
             self.count += 1
-        return pdn.objective(z_init, z_final, self.config.grid)
+        while True:
+            with self._lock:
+                if problem != self._memo_problem:
+                    self._memo_problem, self._memo = problem, {}
+                memo = self._memo
+                got = memo.get(key)
+                if isinstance(got, float):
+                    return got
+                if got is None:
+                    busy = memo[key] = threading.Lock()
+                    busy.acquire()
+                    self.solves += 1
+                    break
+            with got:  # another thread is solving key: wait, then look again
+                pass
+        try:
+            j = pdn.objective(self.bare_profile(problem),
+                              self.final_profile(problem, placement),
+                              self.config.grid)
+        except BaseException:
+            with self._lock:
+                del memo[key]  # a failure is not stored: a retry raises again
+            busy.release()
+            raise
+        with self._lock:
+            memo[key] = j
+        busy.release()
+        return j
 
     def evaluate_all(self, problems, placements) -> list:
         """evaluate(problems[i], placements[i]) for every i, in order.

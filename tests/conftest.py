@@ -27,6 +27,17 @@ def eval5_full():
     return Evaluator(pdn.chip_only_config(5, 5))
 
 
+@pytest.fixture(scope="session")
+def package_config():
+    """4x4 chip (1.2 mm) on a 3x3 package (1.5 mm) at 7 frequencies: the
+    16 chip cells fall into 9 package nodes (1 and 2 share one, as do 4
+    and 8)."""
+    spec = pdn.StackSpec(chip=pdn.GridSpec(4, 4, pdn.CHIP_CELL),
+                         package=pdn.GridSpec(3, 3, pdn.PACKAGE_CELL))
+    return pdn.SimConfig(spec, pdn.DecapModel(),
+                         pdn.make_freq_grid(7, 2e8, 2e10))
+
+
 def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 

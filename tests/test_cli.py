@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import shlex
 import struct
 import threading
@@ -277,6 +278,31 @@ def _outputs_at_threads(threads, tmp_path, board5):
 def test_search_commands_do_not_depend_on_thread_count(board5, tmp_path):
     assert _outputs_at_threads(2, tmp_path, board5) == \
         _outputs_at_threads(1, tmp_path, board5)
+
+
+def test_search_commands_print_calls_and_solves(board5, tmp_path, capsys):
+    # Each search command prints its simulator calls (the budgets) and the
+    # terminations it solved, fewer because GA elites and the min-k
+    # prefixes repeat terminations already scored.
+    k = PARALLEL_MIN_PORTS
+    feasible = [len(p.allowed_ports) for p in read_problem_file(board5)]
+    lookahead = sum(sum(f - t for t in range(k)) + k + 1 for f in feasible)
+    commands = [
+        (("gen", "--rows", 5, "--cols", 5, "--train", 2, "--val", 0,
+          "--test", 0, "--keepout-max", 2, "--expert", "--k", k,
+          "--ga-population", 4, "--ga-generations", 2, "--ga-elites", 1,
+          "--out", tmp_path), 2 * 8),
+        (("baselines", "--problems", board5, "--k", k, "--rs-budgets", 6,
+          "--ga-presets", "4:2:1", "--out", tmp_path / "b.json"), 2 * 14),
+        (("min-k", "--problems", board5, "--target", 1e9, "--k-max", k),
+         lookahead)]
+    for argv, calls in commands:
+        assert run(*argv, "--threads", 2) == EXIT_OK
+        found = re.search(r"(\d+) simulator calls, (\d+) terminations "
+                          r"solved", capsys.readouterr().out)
+        assert int(found[1]) == calls and 0 < int(found[2]) < calls, argv
+    doc = json.loads((tmp_path / "b.json").read_text())
+    assert doc["metadata"]["simulator_calls"] == 2 * 14
 
 
 def test_threaded_failure_matches_one_thread(board5, tmp_path, capsys,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decapbench import env
+from decapbench import env, pdn
 from decapbench.env import (Evaluator, Problem, encode_features, gen_problem,
                             gen_problem_set, validate_placement)
 from decapbench.errors import ContractViolation, NumericFailure, check_schema
@@ -47,6 +47,24 @@ def test_feasible_and_step():
     # duplicate, probe and keep-out steps are rejected).
     p = Problem(3, 3, 4, frozenset({0}))
     assert p.allowed_ports == (1, 2, 3, 5, 6, 7, 8)
+
+
+def test_validate_placement_accepts_integral_numbers():
+    p = Problem(3, 3, 4, frozenset())
+    out = validate_placement(p, [np.int64(1), 2.0, np.float32(8.0)])
+    assert out == (1, 2, 8) and all(type(a) is int for a in out)
+
+
+@pytest.mark.parametrize("bad", [[1.7, 2.2], [True, 2], [2, np.bool_(True)],
+                                 [2, 8.5], [float("nan")], ["1"]],
+                         ids=repr)
+def test_validate_placement_rejects_what_int_would_truncate(eval3, bad):
+    # int() reads 1.7 and True as port 1: evaluate would score port 1.
+    p = Problem(3, 3, 4, frozenset())
+    with pytest.raises(ContractViolation, match="is not an integer"):
+        validate_placement(p, bad)
+    with pytest.raises(ContractViolation, match="is not an integer"):
+        eval3.evaluate(p, bad)
 
 
 def test_validate_placement_round_trip():
@@ -155,11 +173,12 @@ def test_evaluator_rejects_wrong_board(eval3):
         eval3.final_profile(p, (1,))
 
 
-def test_evaluator_shared_between_threads(eval3, monkeypatch):
-    # One bare sweep and one count per call, however the threads interleave.
-    p = Problem(3, 3, 4, frozenset())
-    placements = [(i % 4, 8 - i % 4) for i in range(400)]
-    serial = {pl: eval3.evaluate(p, pl) for pl in placements[:4]}
+def test_evaluator_shared_between_threads(eval3, package_config,
+                                         monkeypatch):
+    # One bare sweep and one count per call, and one solve per distinct
+    # termination, however the threads interleave; the repeats (reversed
+    # placements, and on the package stack ports on one node) score like
+    # the serial loop.
     sweeps = []
     real_solve = env.pdn.solve_z_ports
 
@@ -167,20 +186,117 @@ def test_evaluator_shared_between_threads(eval3, monkeypatch):
         sweeps.append(1)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(env.pdn, "solve_z_ports", counted_solve)
-    fresh = Evaluator(eval3.config)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(fresh.evaluate, p, pl)
-                       for pl in placements]
-            scores = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(sweeps) == 1
-    assert fresh.count == 400
-    assert scores == [serial[pl] for pl in placements]
+    for config, p, base in (
+            (eval3.config, Problem(3, 3, 4, frozenset()),
+             [(0, 8), (1, 7), (2, 6), (3, 5)]),
+            (package_config, Problem(4, 4, 0, frozenset()),
+             [(1, 15), (2, 15), (4, 7), (8, 7), (3, 5)])):
+        cycle = base + [pl[::-1] for pl in base]
+        placements = [cycle[i % len(cycle)] for i in range(400)]
+        serial = {pl: Evaluator(config).evaluate(p, pl) for pl in cycle}
+        sweeps.clear()
+        monkeypatch.setattr(env.pdn, "solve_z_ports", counted_solve)
+        fresh = Evaluator(config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fresh.evaluate, p, pl)
+                           for pl in placements]
+                scores = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(env.pdn, "solve_z_ports", real_solve)
+        assert len(sweeps) == 1
+        assert fresh.count == 400
+        assert fresh.solves == len({_node_key(config, p, pl)
+                                    for pl in base})
+        assert scores == [serial[pl] for pl in placements]
+
+
+def _node_key(config, problem, placement) -> tuple:
+    """What a termination depends on: the probe's network node and the
+    multiset of the decap ports' nodes."""
+    nodes = pdn.StackTopology(config.stack).chip_port_nodes
+    return (nodes[problem.probe], tuple(sorted(nodes[a] for a in placement)))
+
+
+def _memo_case(request, board) -> tuple:
+    """(config, problem, placements): placements that repeat terminations
+    by permutation and, on the package stack, by swapping ports that share
+    a node; some have PARALLEL_MIN_PORTS ports, so they score on workers."""
+    if board == "chip":
+        config = request.getfixturevalue("eval5").config
+        p = Problem(5, 5, 0, frozenset())
+        big = tuple(range(1, 13))
+        base = [(1, 24), (3, 7, 11), big, (5, 6)]
+    else:
+        config = request.getfixturevalue("package_config")
+        p = Problem(4, 4, 0, frozenset())
+        big = tuple(a for a in range(1, 16) if a not in (2, 8, 13))
+        swapped = tuple(a for a in range(1, 16) if a not in (1, 4, 13))
+        base = [(1, 15), (2, 15), (4, 7), (8, 7, 1), (2, 7, 4), big, swapped,
+                (3, 5)]
+    placements = base + [pl[::-1] for pl in base] + [big[1::2] + big[::2]]
+    return config, p, placements
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("board", ["chip", "package"])
+def test_memo_solves_each_termination_once(request, board, threads):
+    config, p, placements = _memo_case(request, board)
+    keys = [_node_key(config, p, pl) for pl in placements]
+    fresh = [Evaluator(config).evaluate(p, pl) for pl in placements]
+    # One call at a time: count rises on every call, solves on a miss.
+    with Evaluator(config, threads) as ev:
+        for i, pl in enumerate(placements):
+            count, solves = ev.count, ev.solves
+            assert ev.evaluate(p, pl) == fresh[i]
+            assert ev.count == count + 1
+            assert ev.solves == solves + (keys[i] not in keys[:i])
+    # One batch, on workers at threads=2: the same scores and counts.
+    with Evaluator(config, threads) as ev:
+        assert ev.evaluate_all([p] * len(placements), placements) == fresh
+        assert ev.count == len(placements)
+        assert ev.solves == len(set(keys)) < len(placements)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_memo_never_stores_a_failure(package_config, monkeypatch, threads):
+    # Every termination fails its residual check: each call solves again
+    # and raises the same message, and nothing is left behind that a
+    # passing solve would not give.
+    p = Problem(4, 4, 0, frozenset())
+    big = tuple(range(1, env.PARALLEL_MIN_PORTS + 1))
+    tol = env.pdn.TERMINATION_RESIDUAL_TOL
+    monkeypatch.setattr(env.pdn, "TERMINATION_RESIDUAL_TOL", -1.0)
+    messages = []
+    with Evaluator(package_config, threads) as ev:
+        for _ in range(3):
+            with pytest.raises(NumericFailure) as got:
+                ev.evaluate(p, big)
+            messages.append(str(got.value))
+            with pytest.raises(NumericFailure) as got:
+                ev.evaluate_all([p] * 2, [big, big[::-1]])
+            messages.append(str(got.value))
+        assert ev.solves >= 6
+        monkeypatch.setattr(env.pdn, "TERMINATION_RESIDUAL_TOL", tol)
+        assert ev.evaluate(p, big) == Evaluator(package_config).evaluate(p, big)
+    assert "ill-conditioned decap termination" in messages[0]
+    assert messages == messages[:1] * 6
+
+
+def test_memo_covers_the_problem_being_scored(package_config):
+    # a and b read the same terminations, but scoring b drops a's scores.
+    a = Problem(4, 4, 0, frozenset())
+    b = Problem(4, 4, 0, frozenset({3}))
+    ev = Evaluator(package_config)
+    solves = []
+    for problem, placement in ((a, (1, 15)), (a, (2, 15)), (b, (1, 15)),
+                               (b, (15, 2)), (a, (1, 15))):
+        ev.evaluate(problem, placement)
+        solves.append(ev.solves)
+    assert solves == [1, 1, 2, 2, 3]
 
 
 def _evaluator_threads() -> list:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapbench import pdn
-from decapbench.cli import greedy_sim_placement
+from decapbench.cli import greedy_sim_placement, min_k_for_target
 from decapbench.env import (PARALLEL_MIN_PORTS, Evaluator, Problem,
                             gen_problem_set)
 from decapbench.errors import ContractViolation
@@ -100,6 +101,41 @@ def test_searches_do_not_depend_on_thread_count(eval5, k):
             report.verify(ev)
             outcomes.append(([r.to_dict() for r in rs + ga], look, ev.count))
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def test_search_call_counts_do_not_depend_on_repeats(package_config,
+                                                     monkeypatch):
+    # The evaluate() counts the benchmark checks, through the same kind of
+    # spy, on a stack where ports share nodes: repeated terminations are
+    # solved once, but each is still one call. Solves do not depend on
+    # the thread count either.
+    calls = []
+    evaluate = Evaluator.evaluate
+
+    @functools.wraps(evaluate)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(Evaluator, "evaluate", counted)
+    problem = Problem(4, 4, 5, frozenset({10}))
+    k, f = PARALLEL_MIN_PORTS, len(problem.allowed_ports)
+    searches = {
+        "min-k": (lambda ev: min_k_for_target(problem, 1e30, k, ev),
+                  sum(f - t for t in range(k)) + k + 1),
+        "rs": (lambda ev: random_search(problem, k, 40, ev, seed=1), 40),
+        "ga": (lambda ev: ga_solve(problem, k, GaConfig(6, 3, 2, seed=1),
+                                   ev), 18)}
+    solves = {}
+    for threads in (1, 2):
+        for name, (search, expected) in searches.items():
+            calls.clear()
+            with Evaluator(package_config, threads) as ev:
+                search(ev)
+            assert len(calls) == ev.count == expected, (name, threads)
+            assert ev.solves < expected, (name, threads)
+            solves.setdefault(name, ev.solves)
+            assert ev.solves == solves[name], (name, threads)
 
 
 def test_exhaustive_best_is_global_optimum(eval3):
