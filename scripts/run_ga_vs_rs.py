@@ -14,7 +14,7 @@ import numpy as np
 from decapbench import pdn
 from decapbench.env import Evaluator, gen_problem_set
 from decapbench.report import svg_line_plot
-from decapbench.search import GaConfig, ga_solve, random_search
+from decapbench.search import GaConfig, baseline_seed, ga_solve, random_search
 
 
 def main():
@@ -37,13 +37,12 @@ def main():
     with Evaluator(sim, threads=os.cpu_count() or 1) as ev:
         for m in budgets:
             pop, gens, elites = ga_cfgs[m]
-            ga = np.mean([ga_solve(p, args.k,
-                                   GaConfig(pop, gens, elites,
-                                            seed=args.seed + i), ev).score
-                          for i, p in enumerate(probs)])
-            rs = np.mean([random_search(p, args.k, m, ev,
-                                        seed=args.seed + i).score
-                          for i, p in enumerate(probs)])
+            ga = np.mean([ga_solve(p, args.k, GaConfig(
+                pop, gens, elites, seed=baseline_seed(args.seed, "ga", i)),
+                ev).score for i, p in enumerate(probs)])
+            rs = np.mean([random_search(
+                p, args.k, m, ev, seed=baseline_seed(args.seed, "rs", i)).score
+                for i, p in enumerate(probs)])
             rows.append((m, ga, rs))
             print(f"M={m:>4}  GA {ga:.4f}  RS {rs:.4f}")
 

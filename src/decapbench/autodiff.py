@@ -321,9 +321,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                 b2: Tensor) -> Tensor:
+                 b2: Tensor | None = None) -> Tensor:
     """linear(relu(linear(x, w1, b1)), w2, b2) as one node: x (..., din),
-    w1 (din, dff), w2 (dff, dout).
+    w1 (din, dff), w2 (dff, dout); without b2 the second linear has no
+    bias.
 
     The ReLU runs in place, so the tape keeps x and the hidden output h
     but not the pre-activation: the backward mask h > 0 equals pre > 0. A
@@ -340,14 +341,17 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     h2 += b1.data
     np.maximum(h2, 0.0, out=h2)
     y2 = h2 @ w2.data
-    y2 += b2.data
+    if b2 is not None:
+        y2 += b2.data
+    parents = (x, w1, b1, w2) if b2 is None else (x, w1, b1, w2, b2)
 
     def backward(g):
         g2 = g.reshape(-1, dout)
         if x.requires_grad or w1.requires_grad or b1.requires_grad:
             gh = (g2 @ w2.data.T) * (h2 > 0)
         _accum(w2, h2.T @ g2)
-        _accum(b2, g2.sum(axis=0))
+        if b2 is not None:
+            _accum(b2, g2.sum(axis=0))
         if x.requires_grad:
             _accum(x, (gh @ w1.data.T).reshape(x.shape))
         if w1.requires_grad:
@@ -355,8 +359,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         if b1.requires_grad:
             _accum(b1, gh.sum(axis=0))
 
-    return _make(y2.reshape(x.shape[:-1] + (dout,)), (x, w1, b1, w2, b2),
-                 backward)
+    return _make(y2.reshape(x.shape[:-1] + (dout,)), parents, backward)
 
 
 def attention_probs(qh: Tensor, kh: Tensor, c: float) -> Tensor:

@@ -19,8 +19,8 @@ from .env import (PARALLEL_MIN_PORTS, Evaluator, Problem, gen_problem_set,
                   read_problem_file, write_problem_file)
 from .errors import ContractViolation, NumericFailure
 from .report import BenchReport, impedance_artifacts, svg_placement_heatmap
-from .search import (GaConfig, build_expert_dataset, ga_solve, random_search,
-                     read_expert_dataset)
+from .search import (GaConfig, baseline_seed, build_expert_dataset, ga_solve,
+                     random_search, read_expert_dataset)
 
 EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
@@ -90,17 +90,21 @@ def _train_configs(args):
         tcfg = training.toy_train_config(seed=args.seed)
         mcfg = pol.toy_config(init_seed=args.seed)
     flags = {"learning_rate": args.lr, "batch_size": args.batch,
-             "max_steps": args.steps, "k": args.k,
-             "lambda_eff": args.lambda_eff}
+             "max_steps": args.steps, "lambda_eff": args.lambda_eff}
     overrides = {name: value for name, value in flags.items()
                  if value is not None}
     return dataclasses.replace(tcfg, **overrides), mcfg
 
 
 def cmd_train(args) -> int:
-    """Train on the board, simulator preset and keep-out cap that the
+    """Train on the board, K, simulator preset and keep-out cap that the
     dataset fixes: the board from its records, the rest from its header."""
     records, header = read_expert_dataset(args.dataset)
+    k = int(header["k"])
+    if args.k is not None and args.k != k:
+        raise ContractViolation(f"train --k {args.k} does not match the "
+                                f"dataset's k {k}: --k must be >= 1 and "
+                                f"equal it")
     val_problems = read_problem_file(args.val_problems)
     rows, cols = _board_of([r.problem for r in records])
     sim, keepout_max = header["sim"], int(header["keepout_max"])
@@ -118,7 +122,8 @@ def cmd_train(args) -> int:
     meta = {"best_val": result.best_val, "steps_run": result.steps_run,
             "train_config": tcfg.to_dict(), "wall_time_s": time.time() - t0,
             "seed": args.seed, "blas_threads": result.blas_threads,
-            "sim": sim, "keepout_max": keepout_max, "board": [rows, cols]}
+            "k": k, "sim": sim, "keepout_max": keepout_max,
+            "board": [rows, cols]}
     pol.save_policy(args.out, result.store, mcfg, meta)
     if args.log:
         training.write_train_log(args.log, result.log_rows)
@@ -248,14 +253,16 @@ def cmd_baselines(args) -> int:
     with ev:  # one search at a time; each scores on args.threads threads
         for m in args.rs_budgets:
             run_method(f"rs-{m}",
-                       lambda i, p, m=m: random_search(p, args.k, m, ev,
-                                                       seed=args.seed + i))
+                       lambda i, p, m=m: random_search(
+                           p, args.k, m, ev,
+                           seed=baseline_seed(args.seed, "rs", i)))
         for pop, gens, elites in args.ga_presets:
             cfg = GaConfig(pop, gens, elites)
             run_method(f"ga-{cfg.budget}",
                        lambda i, p, c=cfg: ga_solve(
-                           p, args.k,
-                           dataclasses.replace(c, seed=args.seed + i), ev))
+                           p, args.k, dataclasses.replace(
+                               c, seed=baseline_seed(args.seed, "ga", i)),
+                           ev))
     report.metadata = {"seed": args.seed, "k": args.k,
                        "simulator_calls": ev.count,
                        "wall_time_s": time.time() - t0}
@@ -351,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", type=float, default=None)
     t.add_argument("--batch", type=int, default=None)
     t.add_argument("--steps", type=int, default=None)
-    t.add_argument("--k", type=int, default=None)
+    t.add_argument("--k", type=int, default=None,
+                   help="a check only: the dataset header's k fixes K, and "
+                        "any other value exits 2")
     t.add_argument("--log", default=None, help="training-log CSV path")
     t.add_argument("--diagnostics", default=None)
     t.add_argument("--out", required=True)

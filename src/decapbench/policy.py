@@ -108,7 +108,8 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
         for name in ("wq", "wk", "wv", "wo"):
             store.add(f"{pre}.{name}", ad.xavier_uniform(rng, d, d))
         lin(f"{pre}.ff1", d, ff)
-        lin(f"{pre}.ff2", ff, d)
+        # no ff2 bias: bn2 centres it away, its gradient is round-off
+        lin(f"{pre}.ff2", ff, d, bias=False)
         for bn in ("bn1", "bn2"):
             store.add(f"{pre}.{bn}.gamma", np.ones(d))
             store.add(f"{pre}.{bn}.beta", np.zeros(d))
@@ -173,7 +174,8 @@ def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
                           store[f"{pre}.bn1.gamma"], store[f"{pre}.bn1.beta"],
                           store.buffers, f"{pre}.bn1", training,
                           update_running=update_running)
-        f = _mlp(h, store, f"{pre}.ff1", f"{pre}.ff2")
+        f = ad.feed_forward(h, store[f"{pre}.ff1.w"], store[f"{pre}.ff1.b"],
+                            store[f"{pre}.ff2.w"])
         h = ad.batch_norm(h + f,
                           store[f"{pre}.bn2.gamma"], store[f"{pre}.bn2.beta"],
                           store.buffers, f"{pre}.bn2", training,

@@ -15,7 +15,8 @@ from .pdn import sim_preset
 DATASET_SCHEMA_VERSION = 1
 
 # The JSONL lines of an expert dataset: a header, then one record per line.
-# The header fixes the simulator preset (sim) and keep-out cap of `train`.
+# The header fixes K, the length of every record's placement, and the
+# simulator preset (sim) and keep-out cap of `train`.
 DATASET_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "array",
@@ -23,9 +24,10 @@ DATASET_SCHEMA = {
     "prefixItems": [{
         "type": "object",
         "properties": {"schema_version": {"const": DATASET_SCHEMA_VERSION},
+                       "k": {"type": "integer", "minimum": 1},
                        "sim": {"type": ["string", "null"]},
                        "keepout_max": {"type": "integer", "minimum": 0}},
-        "required": ["schema_version", "sim", "keepout_max"],
+        "required": ["schema_version", "k", "sim", "keepout_max"],
     }],
     "items": {
         "type": "object",
@@ -87,6 +89,13 @@ def _random_placement(problem: Problem, k: int, rng) -> tuple:
         raise ContractViolation("fewer feasible ports than K")
     pick = rng.choice(np.array(feasible), size=k, replace=False)
     return tuple(int(a) for a in pick)
+
+
+def baseline_seed(seed: int, method: str, index: int) -> int:
+    """The rng seed of one baseline search, method "rs" or "ga", on problem
+    index of a run seeded with seed: 2 (seed + index) for random search and
+    one more for the GA, so the two methods never share a stream."""
+    return 2 * (seed + index) + ("rs", "ga").index(method)
 
 
 def random_search(problem: Problem, k: int, m: int, evaluator: Evaluator,
@@ -217,13 +226,18 @@ def write_expert_dataset(path, records, **meta) -> None:
 
 
 def read_expert_dataset(path) -> tuple:
-    """Returns (records, header metadata)."""
+    """Returns (records, header metadata). Every record's placement is
+    feasible and the header's k ports long."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     docs = [json.loads(ln) for ln in lines]
     check_schema(docs, DATASET_SCHEMA, "expert dataset")
     header = docs[0]
     records = [ExpertRecord.from_dict(d) for d in docs[1:]]
-    for rec in records:
+    for i, rec in enumerate(records, 1):
+        if len(rec.placement) != header["k"]:
+            raise ContractViolation(
+                f"expert dataset record {i} has {len(rec.placement)} ports, "
+                f"not the header's k {header['k']}")
         validate_placement(rec.problem, rec.placement)
     return records, header

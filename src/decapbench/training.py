@@ -237,7 +237,6 @@ class TrainConfig:
     batch_size: int = 100
     permutations: int = 4          # reordered copies per expert label
     lambda_eff: float = 5e32       # weight on the self term (lambda * 1e32)
-    k: int = 20
     max_steps: int = 2000
     val_interval: int = 50
     patience: int = 20             # validation rounds without improvement
@@ -245,7 +244,7 @@ class TrainConfig:
     self_batch: int | None = None  # defaults to batch_size
 
     def __post_init__(self):
-        for name in ("batch_size", "k", "max_steps", "val_interval"):
+        for name in ("batch_size", "max_steps", "val_interval"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1")
         if self.self_batch is not None and self.self_batch < 1:
@@ -257,7 +256,7 @@ class TrainConfig:
 
 def toy_train_config(**overrides) -> TrainConfig:
     base = dict(learning_rate=1e-3, batch_size=25, permutations=4,
-                lambda_eff=1e3, k=4, max_steps=800, val_interval=100,
+                lambda_eff=1e3, max_steps=800, val_interval=100,
                 patience=20, self_batch=16)
     base.update(overrides)
     return TrainConfig(**base)
@@ -346,8 +345,10 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
           diagnostics_path=None) -> TrainResult:
     """Mini-batch descent on the combined loss with greedy validation and
     early stopping on the best validation score. Deterministic per seed.
-    The self-term problems are drawn on the expert records' board with up
-    to keepout_max keep-outs, the cap the records were drawn with.
+    The records fix the board and K, the length of their placements, which
+    the self term, validation and the order bias decode. The self-term
+    problems are drawn on that board with up to keepout_max keep-outs, the
+    cap the records were drawn with.
 
     Every loaded OpenBLAS runs at one thread until train returns or
     raises, and then gets its old count back; result.blas_threads records
@@ -370,16 +371,19 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
         raise ContractViolation(
             f"the augmented dataset has {len(data)} rows, fewer than the "
             f"batch size {tcfg.batch_size}")
-    boards = {(r.problem.n_rows, r.problem.n_cols) for r in records}
-    if len(boards) != 1:
-        raise ContractViolation("expert records must share one board size")
-    board = boards.pop()
-    if not 0 <= keepout_max < board[0] * board[1] - 1:
+    shapes = {(r.problem.n_rows, r.problem.n_cols, len(r.placement))
+              for r in records}
+    if len(shapes) != 1:
+        raise ContractViolation("expert records must share one board size "
+                                "and one placement length")
+    n_rows, n_cols, k = shapes.pop()
+    if not 0 <= keepout_max < n_rows * n_cols - 1:
         raise ContractViolation(
-            f"keepout_max {keepout_max} does not fit the "
-            f"{board[0]}x{board[1]} board")
+            f"keepout_max {keepout_max} does not fit the {n_rows}x{n_cols} "
+            f"board")
     rng = np.random.Generator(np.random.PCG64(tcfg.seed + 1))
-    stream = _self_problem_stream(board, keepout_max, val_hashes, rng)
+    stream = _self_problem_stream((n_rows, n_cols), keepout_max, val_hashes,
+                                  rng)
     if store is None:
         store = pol.init_params(mcfg)
     opt = Adam(store, tcfg.learning_rate)
@@ -388,7 +392,7 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
     rounds_since_best = 0
     order = []
     self_batch = tcfg.self_batch or tcfg.batch_size
-    beside = self_batch * board[0] * board[1] * mcfg.d_model >= \
+    beside = self_batch * n_rows * n_cols * mcfg.d_model >= \
         PARALLEL_MIN_SELF_ELEMENTS
 
     # One BLAS thread: the self branch's worker is the second CPU, and
@@ -405,7 +409,7 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
                 if tcfg.lambda_eff else []
             try:
                 loss, l_exp, l_self = total_loss(batch, problems, store,
-                                                 None, mcfg, tcfg.k,
+                                                 None, mcfg, k,
                                                  tcfg.lambda_eff, rng, run)
             except NumericFailure as exc:
                 _fail(diagnostics_path, tcfg, step_i, str(exc))
@@ -419,11 +423,10 @@ def train(records, tcfg: TrainConfig, mcfg: pol.ModelConfig,
 
             if step_i % tcfg.val_interval == 0 or step_i == tcfg.max_steps:
                 try:
-                    val_j = validate(store, mcfg, evaluator, val_problems,
-                                     tcfg.k)
+                    val_j = validate(store, mcfg, evaluator, val_problems, k)
                     bias = order_bias_estimate(
                         pol.DevFormerPolicy(store, mcfg), val_problems,
-                        order_bias_samples, seed=tcfg.seed + 2, k=tcfg.k)
+                        order_bias_samples, seed=tcfg.seed + 2, k=k)
                 except NumericFailure as exc:
                     _fail(diagnostics_path, tcfg, step_i, str(exc))
                 result.log_rows.append({"step": step_i, "train_nll": l_exp,
@@ -482,9 +485,10 @@ def directional_experiment(seeds, arms) -> dict:
     order bias over 512 draws.
     """
     arm_overrides = [(arm, EXPERIMENT_ARMS[arm]) for arm in arms]
+    k = 4
     ev = Evaluator(pdn.chip_only_config(5, 5))
     probs = gen_problem_set(100, 50, 5, 5, 4)
-    records = [ga_solve(p, 4, GaConfig(seed=i), ev)
+    records = [ga_solve(p, k, GaConfig(seed=i), ev)
                for i, p in enumerate(probs)]
     val = gen_problem_set(999, 20, 5, 5, 4,
                           {p.canonical_hash() for p in probs})
@@ -500,5 +504,5 @@ def directional_experiment(seeds, arms) -> dict:
                 "best_val": res.best_val,
                 "final_j": res.log_rows[-1]["val_J"],
                 "bias": order_bias_estimate(policy, val, 512, seed=42,
-                                            k=tcfg.k).value}
+                                            k=k).value}
     return runs

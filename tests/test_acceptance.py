@@ -294,7 +294,7 @@ def test_10_zero_shot_transfer(tmp_path):
     val = gen_problem_set(1001, 5, 10, 10, 15,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=10, permutations=2,
-                          lambda_eff=0.0, k=8, max_steps=40, val_interval=20,
+                          lambda_eff=0.0, max_steps=40, val_interval=20,
                           patience=10)
     mcfg = pol.toy_config()
     res = tr.train(records, tcfg, mcfg, ev10, val, keepout_max=15)

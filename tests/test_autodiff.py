@@ -196,7 +196,12 @@ def test_grad_check_feed_forward():
         y = ad.feed_forward(s["x"], s["w1"], s["b1"], s["w2"], s["b2"])
         return ad.tensor_sum(ad.mul(y, weights))
 
+    def without_b2():
+        y = ad.feed_forward(s["x"], s["w1"], s["b1"], s["w2"])
+        return ad.tensor_sum(ad.mul(y, weights))
+
     assert ad.grad_check(fn, s) < 1e-6
+    assert ad.grad_check(without_b2, s) < 1e-6
 
 
 def test_grad_check_attention_probs():
@@ -212,11 +217,12 @@ def test_grad_check_attention_probs():
     assert ad.grad_check(fn, s) < 1e-6
 
 
-@pytest.mark.parametrize("input_grad", [True, False])
-def test_feed_forward_matches_chain_bitwise(input_grad):
+def _check_feed_forward_against_chain(input_grad, second_bias):
     rng = make_rng(17)
     ref = store_with(w1=rng.normal(size=(6, 9)), b1=rng.normal(size=9),
-                     w2=rng.normal(size=(9, 5)), b2=rng.normal(size=5))
+                     w2=rng.normal(size=(9, 5)))
+    if second_bias:
+        ref.add("b2", rng.normal(size=5))
     x = rng.normal(size=(4, 7, 6))
     if input_grad:
         ref.add("x", x)
@@ -226,15 +232,29 @@ def test_feed_forward_matches_chain_bitwise(input_grad):
     def inputs(s):
         return s["x"] if input_grad else ad.Tensor(x)
 
+    def b2(s):
+        return s["b2"] if second_bias else None
+
     y_ref = ad.linear(_relu(ad.linear(inputs(ref), ref["w1"], ref["b1"])),
-                      ref["w2"], ref["b2"])
+                      ref["w2"], b2(ref))
     y = ad.feed_forward(inputs(fused), fused["w1"], fused["b1"],
-                        fused["w2"], fused["b2"])
+                        fused["w2"], b2(fused))
     assert np.array_equal(y.data, y_ref.data)
     ad.tensor_sum(ad.mul(y_ref, upstream)).backward()
     ad.tensor_sum(ad.mul(y, upstream)).backward()
     for name in ref.params:
         assert np.array_equal(fused[name].grad, ref[name].grad), name
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_feed_forward_matches_chain_bitwise(input_grad):
+    _check_feed_forward_against_chain(input_grad, second_bias=True)
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_feed_forward_without_second_bias_matches_chain_bitwise(input_grad):
+    # the encoder's block: bn2 follows it, so its second linear has no bias
+    _check_feed_forward_against_chain(input_grad, second_bias=False)
 
 
 @pytest.mark.parametrize("query_grad", [True, False])

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from decapbench import autodiff as ad
-from decapbench import pdn, training
+from decapbench import cli, pdn, training
 from decapbench import policy as pol
 from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                             LOOKAHEAD_TIE_RTOL, _lookahead_pick, build_parser,
@@ -154,6 +154,51 @@ def test_exit_code_dataset_header_without_sim_or_keepout_max(
     assert run(*_train_args(bad, workdir / "val_problems.json", out)) == \
         EXIT_CONTRACT
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_takes_k_from_the_dataset(tmp_path, monkeypatch):
+    # The toy preset's K was 4; without --k the dataset's K=2 is decoded.
+    dataset, val = _gen_expert(tmp_path)
+    ks = []
+    validate = training.validate
+
+    def spy(store, mcfg, evaluator, problems, k):
+        ks.append(k)
+        return validate(store, mcfg, evaluator, problems, k)
+
+    monkeypatch.setattr(training, "validate", spy)
+    args = list(_train_args(dataset, val, tmp_path / "m.ckpt"))
+    i = args.index("--k")
+    del args[i:i + 2]
+    assert run(*args) == EXIT_OK
+    assert ks == [2]
+    _, _, meta = ad.load_checkpoint(tmp_path / "m.ckpt")
+    assert meta["k"] == 2 and "k" not in meta["train_config"]
+
+
+def _mixed_length_dataset(path, lines):
+    record = json.loads(lines[1])
+    record["placement"] = record["placement"][:1]
+    path.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:])
+                    + "\n")
+
+
+@pytest.mark.parametrize("edit, flags, message", [
+    (None, ("--k", 3), "train --k 3 does not match the dataset's k 2"),
+    (_mixed_length_dataset, (), "record 1 has 1 ports, not the header's k 2")],
+    ids=["k-mismatch", "mixed-length"])
+def test_exit_code_dataset_k(workdir, tmp_path, capsys, edit, flags,
+                             message):
+    dataset = workdir / "expert_dataset.jsonl"
+    if edit is not None:
+        dataset = tmp_path / "bad.jsonl"
+        edit(dataset, (workdir / "expert_dataset.jsonl").read_text()
+             .splitlines())
+    out = tmp_path / "m.ckpt"
+    assert run(*_train_args(dataset, workdir / "val_problems.json", out),
+               *flags) == EXIT_CONTRACT
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -341,6 +386,29 @@ def test_baselines_report(workdir):
     doc = json.loads(out.read_text())
     methods = {r["method"] for r in doc["rows"]}
     assert methods == {"rs-8", "ga-8"}
+
+
+def test_baselines_seed_each_method_apart(workdir, tmp_path, monkeypatch):
+    # Problem i of a run seeded with s draws RS from seed 2(s + i) and the
+    # GA from 2(s + i) + 1, one search per method and problem: the two
+    # methods never draw from one stream.
+    seeds = {"rs": [], "ga": []}
+    random_search, ga_solve = cli.random_search, cli.ga_solve
+
+    def rs_spy(problem, k, m, ev, seed):
+        seeds["rs"].append(seed)
+        return random_search(problem, k, m, ev, seed=seed)
+
+    def ga_spy(problem, k, cfg, ev):
+        seeds["ga"].append(cfg.seed)
+        return ga_solve(problem, k, cfg, ev)
+
+    monkeypatch.setattr(cli, "random_search", rs_spy)
+    monkeypatch.setattr(cli, "ga_solve", ga_spy)
+    assert run("baselines", "--problems", workdir / "test_problems.json",
+               "--k", 2, "--rs-budgets", 8, "--ga-presets", "4:2:1",
+               "--seed", 7, "--out", tmp_path / "b.json") == EXIT_OK
+    assert seeds == {"rs": [14, 16, 18], "ga": [15, 17, 19]}
 
 
 def test_min_k_zero_target(workdir):

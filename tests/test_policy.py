@@ -360,3 +360,32 @@ def test_float32_model_matches_float64():
     err = math.sqrt(sum(((g32[n] - g) ** 2).sum() for n, g in g64.items())
                     / sum((g ** 2).sum() for g in g64.values()))
     assert err < 3e-5
+
+
+@pytest.mark.parametrize("cfg, board, k", [
+    (pol.toy_config(), 5, 4),
+    (pol.toy_config(ablated=True), 5, 4),
+    (pol.ModelConfig(float32=False), 10, 20)],
+    ids=["toy", "ablated-toy", "paper-float64"])
+def test_no_dead_parameter(cfg, board, k):
+    # Adam turns a gradient of pure round-off into lr-sized steps of random
+    # sign. At init the weakest live parameter (the paper model's start
+    # row) peaks near 1e-3 of the largest gradient entry; a bias that feeds
+    # a training-mode batch norm only through a sum peaks near 1e-16.
+    rng = make_rng(0)
+    probs = gen_problem_set(0, 8, board, board, 2)
+    placements = [tuple(rng.choice(p.allowed_ports, k, replace=False))
+                  for p in probs]
+    _, grads = _imitation_grads(probs, placements, cfg)
+    peak = {n: 0.0 if g is None else float(np.abs(g).max())
+            for n, g in grads.items()}
+    top = max(peak.values())
+    assert [n for n, v in peak.items() if v <= 1e-6 * top] == []
+
+
+def test_parameter_counts():
+    def count(cfg):
+        return sum(t.data.size for t in pol.init_params(cfg).params.values())
+
+    assert count(pol.ModelConfig()) == 758_528
+    assert count(pol.toy_config()) == 19_072

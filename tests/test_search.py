@@ -184,6 +184,32 @@ def test_dataset_rejects_infeasible_record(tmp_path):
     p = Problem(3, 3, 4, frozenset({0}))
     rec = ExpertRecord(p, (0, 1), 1.0, 1, 0)   # keep-out port in placement
     path = tmp_path / "bad.jsonl"
-    write_expert_dataset(path, [rec], sim="chip", keepout_max=1)
+    write_expert_dataset(path, [rec], k=2, sim="chip", keepout_max=1)
     with pytest.raises(ContractViolation, match="infeasible action 0"):
+        read_expert_dataset(path)
+
+
+@pytest.mark.parametrize("placements, k, record", [
+    ([(1, 2), (2, 3)], 3, 1),       # the header says 3 over 2-port records
+    ([(1, 2), (1, 2, 3)], 2, 2)],   # mixed lengths
+    ids=["header-k", "mixed-lengths"])
+def test_dataset_rejects_record_not_k_ports_long(tmp_path, placements, k,
+                                                record):
+    p = Problem(3, 3, 4, frozenset({0}))
+    path = tmp_path / "bad.jsonl"
+    write_expert_dataset(path, [ExpertRecord(p, pl, 1.0, 1, 0)
+                                for pl in placements],
+                         k=k, sim="chip", keepout_max=1)
+    with pytest.raises(ContractViolation,
+                       match=f"record {record} has {len(placements[record - 1])}"
+                             f" ports, not the header's k {k}"):
+        read_expert_dataset(path)
+
+
+def test_dataset_header_requires_k(tmp_path):
+    p = Problem(3, 3, 4, frozenset({0}))
+    path = tmp_path / "old.jsonl"
+    write_expert_dataset(path, [ExpertRecord(p, (1, 2), 1.0, 1, 0)],
+                         sim="chip", keepout_max=1)
+    with pytest.raises(ContractViolation, match="'k'"):
         read_expert_dataset(path)

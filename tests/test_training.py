@@ -120,8 +120,8 @@ def test_adam_in_place_step_equals_out_of_place_formula():
             assert np.array_equal(opt.v[n], v[n]), (t, n)
 
 
-@pytest.mark.parametrize("field", ["batch_size", "k", "max_steps",
-                                   "val_interval", "self_batch"])
+@pytest.mark.parametrize("field", ["batch_size", "max_steps", "val_interval",
+                                   "self_batch"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_train_config_rejects_non_positive_counts(field, value):
     with pytest.raises(ContractViolation, match=field):
@@ -227,7 +227,7 @@ def test_train_smoke_and_log(eval3, tmp_path):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(77, 4, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, max_steps=20, val_interval=10,
+                          lambda_eff=10.0, max_steps=20, val_interval=10,
                           patience=5, self_batch=2)
     res = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
                    order_bias_samples=8)
@@ -248,7 +248,7 @@ def test_train_nan_after_relu_reaches_non_finite_guard(eval3):
     recs, probs = _tiny_dataset(eval3, n=4)
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(79, 2, 3, 3, 2, exclude_hashes=hashes)
-    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0,
                           max_steps=1)
     store = pol.init_params(CFG)
     store["enc0.ff1.b"].data[0] = np.nan
@@ -265,7 +265,7 @@ def test_last_log_row_validates_final_store(eval3, max_steps, patience):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(80, 3, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=5e-2, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, max_steps=max_steps,
+                          lambda_eff=10.0, max_steps=max_steps,
                           val_interval=3, patience=patience, self_batch=2,
                           seed=2)
     res = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
@@ -274,12 +274,12 @@ def test_last_log_row_validates_final_store(eval3, max_steps, patience):
     assert stopped_early == (patience == 1)
     assert res.log_rows[-1]["step"] == res.steps_run
     assert res.log_rows[-1]["val_J"] == tr.validate(res.final_store, CFG,
-                                                    eval3, val, tcfg.k)
+                                                    eval3, val, 2)
 
 
 def test_train_rejects_val_overlap(eval3):
     recs, probs = _tiny_dataset(eval3, n=3)
-    tcfg = tr.TrainConfig(k=2, max_steps=1, batch_size=1)
+    tcfg = tr.TrainConfig(max_steps=1, batch_size=1)
     with pytest.raises(ContractViolation):
         tr.train(recs, tcfg, CFG, eval3, [probs[0]], keepout_max=2)
 
@@ -291,8 +291,20 @@ def test_train_rejects_records_on_two_boards(eval3):
     recs.append(ExpertRecord(other, (0, 1), 1.0, 1, 0))
     val = gen_problem_set(83, 1, 3, 3, 2,
                           exclude_hashes={p.canonical_hash() for p in probs})
-    tcfg = tr.TrainConfig(k=2, max_steps=1, batch_size=1)
+    tcfg = tr.TrainConfig(max_steps=1, batch_size=1)
     with pytest.raises(ContractViolation, match="expert records"):
+        tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2)
+
+
+def test_train_rejects_placements_of_two_lengths(eval3):
+    # K, which the self term, validation and the order bias decode, is the
+    # records' one placement length.
+    recs, probs = _tiny_dataset(eval3, n=2)
+    recs.append(ExpertRecord(recs[0].problem, (0, 1, 2), 1.0, 1, 0))
+    val = gen_problem_set(84, 1, 3, 3, 2,
+                          exclude_hashes={p.canonical_hash() for p in probs})
+    tcfg = tr.TrainConfig(max_steps=1, batch_size=1)
+    with pytest.raises(ContractViolation, match="one placement length"):
         tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2)
 
 
@@ -301,7 +313,7 @@ def test_train_deterministic_given_seed(eval3):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(78, 3, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, max_steps=6, val_interval=3,
+                          lambda_eff=10.0, max_steps=6, val_interval=3,
                           patience=5, self_batch=2, seed=9)
     a = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
                  order_bias_samples=4)
@@ -334,7 +346,7 @@ def test_train_rejects_dataset_smaller_than_batch(eval3):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(80, 2, 3, 3, 2, exclude_hashes=hashes)
     # 4 records with 4 reordered copies each augment to 20 rows < 25
-    tcfg = tr.TrainConfig(batch_size=25, permutations=4, lambda_eff=0.0, k=2,
+    tcfg = tr.TrainConfig(batch_size=25, permutations=4, lambda_eff=0.0,
                           max_steps=1)
     with pytest.raises(ContractViolation, match="batch size"):
         tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2)
@@ -361,6 +373,7 @@ def _reference_train(records, tcfg, mcfg, evaluator, val, order_bias_samples,
     """train() as a loop that copies the parameters into a snapshot at the
     start of every step and computes the imitation loss first; every step
     is validated."""
+    k = len(records[0].placement)
     data = tr.augment(records, tcfg.permutations, seed=tcfg.seed)
     rng = make_rng(tcfg.seed + 1)
     board = (records[0].problem.n_rows, records[0].problem.n_cols)
@@ -376,19 +389,17 @@ def _reference_train(records, tcfg, mcfg, evaluator, val, order_bias_samples,
         frozen = store.copy()
         problems = [next(stream) for _ in range(tcfg.self_batch)]
         l_exp = tr.expert_loss(batch, store, mcfg)
-        l_self = _reference_self_loss(problems, store, frozen, mcfg, tcfg.k,
-                                      rng)
+        l_self = _reference_self_loss(problems, store, frozen, mcfg, k, rng)
         loss = l_exp + ad.scale(l_self, tcfg.lambda_eff)
         store.zero_grad()
         loss.backward()
         opt.step()
         bias = tr.order_bias_estimate(pol.DevFormerPolicy(store, mcfg), val,
                                       order_bias_samples, seed=tcfg.seed + 2,
-                                      k=tcfg.k)
+                                      k=k)
         rows.append({"step": step_i, "train_nll": float(l_exp.data),
                      "self_loss": float(l_self.data),
-                     "val_J": tr.validate(store, mcfg, evaluator, val,
-                                          tcfg.k),
+                     "val_J": tr.validate(store, mcfg, evaluator, val, k),
                      "order_bias": bias.value})
     return store, rows
 
@@ -402,7 +413,7 @@ def test_train_shared_encode_matches_snapshot_loop(eval3):
     # sampled actions; 128 self-term problems per step make such a change
     # show in every seed tried (0-7).
     tcfg = tr.TrainConfig(learning_rate=1e-2, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, max_steps=3, val_interval=1,
+                          lambda_eff=10.0, max_steps=3, val_interval=1,
                           patience=10, self_batch=128, seed=4)
     res = tr.train(recs, tcfg, CFG, eval3, val, keepout_max=2,
                    order_bias_samples=8)
@@ -463,7 +474,7 @@ def test_self_term_step_runs_three_encodes(eval3, monkeypatch):
     recs, probs = _tiny_dataset(eval3, n=4)
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(82, 2, 3, 3, 2, exclude_hashes=hashes)
-    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0, k=2,
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
                           max_steps=2, val_interval=10,
                           self_batch=2)
     for threads in (1, 2):
@@ -482,7 +493,7 @@ def _float32_setup(eval3, max_steps):
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(83, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, permutations=1,
-                          lambda_eff=10.0, k=2, max_steps=max_steps,
+                          lambda_eff=10.0, max_steps=max_steps,
                           val_interval=3, self_batch=2, seed=4)
     return recs, val, tcfg
 
@@ -570,7 +581,7 @@ def test_train_bytes_do_not_depend_on_evaluator_threads(
     hashes = {p.canonical_hash() for p in probs}
     val = gen_problem_set(84, 2, 3, 3, 2, exclude_hashes=hashes)
     tcfg = tr.TrainConfig(learning_rate=1e-2, batch_size=4, permutations=1,
-                          lambda_eff=lambda_eff, k=2, max_steps=6,
+                          lambda_eff=lambda_eff, max_steps=6,
                           val_interval=3, self_batch=3, seed=5)
     runs = []
     for threads in (1, 2):
@@ -650,7 +661,7 @@ def test_train_restores_blas_count_when_it_raises(eval3):
     recs, probs = _tiny_dataset(eval3, n=4)
     val = gen_problem_set(85, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
-    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0, k=2,
+    tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=0.0,
                           max_steps=1)
     store = pol.init_params(CFG)
     store["enc0.ff1.b"].data[0] = np.nan
@@ -672,7 +683,7 @@ def test_self_branch_failure_on_the_worker_surfaces_from_train(
     val = gen_problem_set(86, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
-                          k=2, max_steps=2, self_batch=2)
+                          max_steps=2, self_batch=2)
     where = []
     self_loss = tr.self_loss
 
@@ -710,7 +721,7 @@ def test_caller_self_encode_failure_ends_the_workers_wait(
     val = gen_problem_set(92, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
-                          k=2, max_steps=2, self_batch=2)
+                          max_steps=2, self_batch=2)
     where = []
 
     def failing_encode(*args):
@@ -739,7 +750,7 @@ def test_non_finite_self_term_writes_diagnostics(eval3, tmp_path,
     val = gen_problem_set(87, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1,
-                          lambda_eff=math.inf, k=2, max_steps=2,
+                          lambda_eff=math.inf, max_steps=2,
                           self_batch=2)
     diag = tmp_path / "diagnostics.json"
     with Evaluator(eval3.config, threads) as ev:
@@ -762,7 +773,7 @@ def test_self_term_runs_beside_only_above_the_size_gate(
     val = gen_problem_set(88, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
-                          k=2, max_steps=2, self_batch=2)
+                          max_steps=2, self_batch=2)
     where = []
     self_loss = tr.self_loss
 
@@ -799,7 +810,7 @@ def test_non_finite_sampling_writes_diagnostics(eval3, tmp_path, monkeypatch,
     val = gen_problem_set(90, 2, 3, 3, 2,
                           {p.canonical_hash() for p in probs})
     tcfg = tr.TrainConfig(batch_size=4, permutations=1, lambda_eff=10.0,
-                          k=2, max_steps=2, self_batch=2)
+                          max_steps=2, self_batch=2)
     store = pol.init_params(CFG)
     store["enc0.ff1.b"].data[0] = np.nan
     diag = tmp_path / "diagnostics.json"
