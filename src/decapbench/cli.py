@@ -286,6 +286,7 @@ def cmd_report(args) -> int:
         print("verified: all stored scores re-derive by re-simulation")
     os.makedirs(args.out, exist_ok=True)
     report.write_csv(os.path.join(args.out, "scores.csv"))
+    report.write_budget_plot(os.path.join(args.out, "budget.svg"))
     n_plots = min(args.max_plots, len(report.problems))
     for row in report.rows:
         for i in range(n_plots):
@@ -409,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:   # PCG64 takes non-negative seeds only
+            raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """Result artifacts: BenchReport tables, CSV emission, and deterministic
-SVG plots (impedance curves and placement heatmaps).
+SVG plots (impedance curves, placement heatmaps and J against budget).
 
 Every score stored in a BenchReport carries the placements it came from, so
 verify() can re-derive each number by re-simulation; a row's mean and std
@@ -8,6 +8,7 @@ are derived from its scores and checked against the stored ones on load.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -146,11 +147,28 @@ class BenchReport:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(REPORT_CSV_COLUMNS) + "\n")
-            for r in self.rows:
-                fh.write(",".join(repr(v) for v in
-                                  (r.method, r.budget, r.k, r.mean_score,
-                                   r.std_score, len(self.problems))) + "\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(REPORT_CSV_COLUMNS)
+            out.writerows((r.method, r.budget, r.k, r.mean_score,
+                           r.std_score, len(self.problems))
+                          for r in self.rows)
+
+    def write_budget_plot(self, path) -> None:
+        """Mean J against budget M, one series per method family with two
+        or more budgets; no file when no family has two. A family is the
+        method name less its "-M" suffix: rs-20 and rs-60 are rs."""
+        families = {}
+        for r in self.rows:
+            family = r.method.removesuffix(f"-{r.budget}")
+            if family != r.method:
+                families.setdefault(family, []).append(
+                    (r.budget, r.mean_score))
+        series = [(family, *zip(*sorted(points)))
+                  for family, points in families.items() if len(points) > 1]
+        if series:
+            svg_line_plot(path, series, "Search score vs simulation budget",
+                          "simulator calls per problem (M)",
+                          "mean objective J")
 
 
 # --- SVG helpers -------------------------------------------------------------
@@ -305,7 +323,7 @@ def write_impedance_csv(path, grid: pdn.FreqGrid, initial: np.ndarray,
     with open(path, "w", newline="") as fh:
         fh.write("frequency_hz,z_initial_ohm,z_final_ohm\n")
         for f, zi, zf in zip(grid.points, initial, final):
-            fh.write(f"{f!r},{zi!r},{zf!r}\n")
+            fh.write(f"{float(f)!r},{float(zi)!r},{float(zf)!r}\n")
 
 
 def impedance_artifacts(evaluator: Evaluator, problem: Problem, placement,

@@ -325,6 +325,44 @@ def test_search_commands_do_not_depend_on_thread_count(board5, tmp_path):
         _outputs_at_threads(1, tmp_path, board5)
 
 
+def _outputs_at_blas_threads(n, checkpoint, problems, out):
+    """eval on the chip and paper stacks, baselines and min-k --checkpoint
+    with every loaded OpenBLAS at n threads: each output, wall time aside."""
+    out.mkdir()
+    paper = ("--sim", "paper", "--problems", problems)
+    with ad.blas_threads(n):
+        for sim in ("chip", "paper"):
+            assert run("eval", "--sim", sim, "--checkpoint", checkpoint,
+                       "--problems", problems, "--k", 20,
+                       "--out", out / f"eval_{sim}.json") == EXIT_OK
+        assert run("baselines", *paper, "--k", 20, "--rs-budgets", 6,
+                   "--ga-presets", "4:2:1",
+                   "--out", out / "baselines.json") == EXIT_OK
+        assert run("min-k", *paper, "--checkpoint", checkpoint,
+                   "--target", 1e9, "--k-max", 20,
+                   "--out", out / "min_k.json") == EXIT_OK
+    docs = {}
+    for path in sorted(out.iterdir()):
+        docs[path.name] = doc = json.loads(path.read_text())
+        doc.get("metadata", {}).pop("wall_time_s", None)
+    return docs
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # A paper-preset model at init on 10x10 problems at K=20: GEMMs large
+    # enough for OpenBLAS to split over threads.
+    with ad.blas_threads() as found:
+        if not found:
+            pytest.skip("no OpenBLAS symbol found: cannot set its threads")
+    cfg = pol.ModelConfig()
+    checkpoint = tmp_path / "paper.ckpt"
+    pol.save_policy(checkpoint, pol.init_params(cfg), cfg)
+    problems = tmp_path / "problems.json"
+    write_problem_file(problems, gen_problem_set(4, 3, 10, 10, 15))
+    assert _outputs_at_blas_threads(2, checkpoint, problems, tmp_path / "b2") \
+        == _outputs_at_blas_threads(1, checkpoint, problems, tmp_path / "b1")
+
+
 def test_search_commands_print_calls_and_solves(board5, tmp_path, capsys):
     # Each search command prints its simulator calls (the budgets) and the
     # terminations it solved, fewer because GA elites and the min-k
@@ -386,6 +424,23 @@ def test_baselines_report(workdir):
     doc = json.loads(out.read_text())
     methods = {r["method"] for r in doc["rows"]}
     assert methods == {"rs-8", "ga-8"}
+
+
+def test_report_draws_the_budget_curve(workdir, tmp_path):
+    # Two budgets per method family give one curve each, rs and ga; one
+    # budget per family, as in test_baselines_report, gives no budget.svg.
+    for name, rs, ga in (("two", (4, 8), ("2:2:1", "4:2:1")),
+                         ("one", (8,), ("4:2:1",))):
+        doc = tmp_path / f"{name}.json"
+        assert run("baselines", "--problems", workdir / "test_problems.json",
+                   "--k", 2, "--rs-budgets", *rs, "--ga-presets", *ga,
+                   "--out", doc) == EXIT_OK
+        assert run("report", "--report", doc, "--max-plots", 0,
+                   "--out", tmp_path / name) == EXIT_OK
+    svg = (tmp_path / "two" / "budget.svg").read_text()
+    assert svg.count("<polyline") == 2
+    assert ">rs</text>" in svg and ">ga</text>" in svg
+    assert os.listdir(tmp_path / "one") == ["scores.csv"]
 
 
 def test_baselines_seed_each_method_apart(workdir, tmp_path, monkeypatch):
@@ -660,6 +715,11 @@ NUMERIC_ARGUMENTS = st.one_of(
 @example(case=("train", ["--batch", 2, "--steps", 1, "--k", -1]))
 @example(case=("baselines", ["--k", -1, "--rs-budgets", 2,
                              "--ga-presets"]))
+@example(case=("gen", ["--rows", 3, "--cols", 3, "--keepout-max", 2,
+                       "--seed", -1]))
+@example(case=("train", ["--batch", 2, "--steps", 1, "--k", 2,
+                         "--seed", -1]))
+@example(case=("baselines", ["--k", 2, "--seed", -1]))
 @given(case=NUMERIC_ARGUMENTS)
 def test_numeric_arguments_exit_cleanly(workdir, tmp_path, capsys,
                                         run_with_timeout, case):
@@ -886,15 +946,17 @@ def test_fuzzed_input_files_exit_cleanly(fuzz_inputs, tmp_path, capsys,
 
 
 def test_readme_cli_commands_parse():
-    # Every decapbench command in the README's CLI block, continuation
-    # lines joined, is accepted by the parser the program uses.
+    # Every decapbench command in the README's CLI section's code blocks,
+    # continuation lines joined, is accepted by the parser the program uses.
     readme = (pathlib.Path(__file__).resolve().parent.parent
               / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
-    block = block.split("```", 1)[0].replace("\\\n", " ")
-    commands = [shlex.split(line) for line in block.splitlines()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = "".join(b.split("```", 1)[0]
+                    for b in section.split("```sh\n")[1:])
+    commands = [shlex.split(line) for line in
+                block.replace("\\\n", " ").splitlines()
                 if line.startswith("decapbench ")]
-    assert len(commands) == 6
+    assert len(commands) == 9
     for argv in commands:
         args = build_parser().parse_args(argv[1:])
         assert args.command == argv[1]

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -39,11 +41,37 @@ def test_report_add_method_length_contract(eval3):
 
 def test_report_csv(eval3, tmp_path):
     r = _toy_report(eval3)
+    r.add_method("a,b", 1, 2, r.rows[0].placements, r.rows[0].scores)
     path = tmp_path / "scores.csv"
     r.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(rep.REPORT_CSV_COLUMNS)
-    assert lines[1].startswith("'fixed',1,2,")
+    assert lines[1].startswith("fixed,1,2,")
+    rows = list(csv.reader(lines[1:]))
+    assert [row[0] for row in rows] == ["fixed", "a,b"]
+    # float() raises on a cell that is not a plain number
+    assert all(len([float(c) for c in row[1:]]) == 5 for row in rows)
+
+
+def test_budget_plot_draws_families_with_two_budgets(tmp_path):
+    # rs and devformer-sample have two budgets each; ga has one, and
+    # devformer-greedy's name carries no budget suffix.
+    probs = gen_problem_set(0, 1, 3, 3, 2)
+    r = rep.BenchReport(probs)
+    for method, budget, score in (("rs-20", 20, 1.0), ("ga-20", 20, 2.0),
+                                  ("rs-60", 60, 3.0),
+                                  ("devformer-greedy", 1, 4.0),
+                                  ("devformer-sample-10", 10, 5.0),
+                                  ("devformer-sample-100", 100, 6.0)):
+        r.add_method(method, budget, 2, [(0, 1)], [score])
+    path = tmp_path / "budget.svg"
+    r.write_budget_plot(path)
+    text = path.read_text()
+    assert text.count("<polyline") == 2
+    assert ">rs</text>" in text and ">devformer-sample</text>" in text
+    r.rows = r.rows[1:4]        # ga-20, rs-60, devformer-greedy
+    r.write_budget_plot(tmp_path / "none.svg")
+    assert not (tmp_path / "none.svg").exists()
 
 
 def test_svg_line_plot_deterministic(tmp_path):
@@ -88,3 +116,6 @@ def test_impedance_artifacts(eval3, tmp_path):
     rows = (tmp_path / "imp.csv").read_text().splitlines()
     assert rows[0] == "frequency_hz,z_initial_ohm,z_final_ohm"
     assert len(rows) == len(eval3.config.grid) + 1
+    # float() raises on a cell that is not a plain number
+    cells = [float(c) for row in rows[1:] for c in row.split(",")]
+    assert len(cells) == 3 * len(eval3.config.grid)
