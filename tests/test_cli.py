@@ -21,6 +21,8 @@ from decapbench.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                             greedy_sim_placement, main, min_k_for_target)
 from decapbench.env import (PARALLEL_MIN_PORTS, Problem, gen_problem_set,
                             read_problem_file, write_problem_file)
+from decapbench.report import REPORT_SCHEMA
+from decapbench.search import DATASET_SCHEMA
 
 
 def run(*argv):
@@ -550,16 +552,29 @@ def test_exit_code_malformed_problem_file(tmp_path, checkpoint, command):
     assert run(command, "--problems", bad, *args) == EXIT_CONTRACT
 
 
+def _schema_line(what, doc, schema):
+    """The stderr line of a document that fails its schema, with
+    jsonschema's best_match as the oracle of the message."""
+    import jsonschema
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    assert error is not None
+    return f"contract violation: bad {what}: {error.message}"
+
+
 @pytest.mark.parametrize("lines", [
     ['{"schema_version": 1}', '{"problem": {"rows": 3}}'],
     ['{"problem": {"rows": 3}}']])
-def test_exit_code_malformed_dataset(workdir, tmp_path, lines):
+def test_exit_code_malformed_dataset(workdir, tmp_path, capsys, lines):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     code = run("train", "--dataset", bad,
                "--val-problems", workdir / "val_problems.json",
                "--steps", 1, "--out", tmp_path / "m.ckpt")
     assert code == EXIT_CONTRACT
+    line = _schema_line("expert dataset", [json.loads(x) for x in lines],
+                        DATASET_SCHEMA)
+    assert line in capsys.readouterr().err.splitlines()
 
 
 def test_exit_code_dataset_smaller_than_batch(workdir, tmp_path, capsys):
@@ -574,19 +589,26 @@ def test_exit_code_dataset_smaller_than_batch(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [
-    {"schema_version": 1, "problems": [{"rows": 3}], "rows": []},
+@pytest.mark.parametrize("doc, fails_schema", [
+    pytest.param({"schema_version": 1, "problems": [{"rows": 3}],
+                  "rows": []}, True, id="doc0"),
     # a row shorter than the problem list
-    {"schema_version": 1,
-     "problems": [{"rows": 3, "cols": 3, "probe": 0, "keepout": []}],
-     "rows": [{"method": "m", "budget": 1, "k": 1, "mean_score": 0.0,
-               "std_score": 0.0, "placements": [], "scores": []}]}])
-def test_exit_code_malformed_report(tmp_path, doc):
+    pytest.param({"schema_version": 1,
+                  "problems": [{"rows": 3, "cols": 3, "probe": 0,
+                                "keepout": []}],
+                  "rows": [{"method": "m", "budget": 1, "k": 1,
+                            "mean_score": 0.0, "std_score": 0.0,
+                            "placements": [], "scores": []}]},
+                 False, id="doc1")])
+def test_exit_code_malformed_report(tmp_path, capsys, doc, fails_schema):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code = run("report", "--report", bad, "--verify",
                "--out", tmp_path / "plots")
     assert code == EXIT_CONTRACT
+    if fails_schema:
+        line = _schema_line("report", doc, REPORT_SCHEMA)
+        assert line in capsys.readouterr().err.splitlines()
 
 
 def test_exit_code_bad_json(workdir, checkpoint, tmp_path):
@@ -809,31 +831,48 @@ def _string_d_model(header):
     return header
 
 
-@pytest.mark.parametrize("damage", [
-    lambda blob: blob[:len(blob) // 2],   # ends inside the parameters
-    lambda blob: blob[:6],                # ends inside the length prefix
-    lambda blob: blob[:4] + struct.pack("<Q", 2 ** 50) + blob[12:],
-    _edit_header(_extra_config_key),
-    _edit_header(_without_params),
-    _edit_header(lambda header: [header]),
-    _edit_header(_negate_first_shape),
-    _edit_header(_huge_first_shape),
-    _edit_header(_without_last_buffer),
-    _edit_header(_string_d_model),
-    _edit_header(_three_ablation_flags),
-    _edit_header(_without_float32)],
-    ids=["half", "first-6-bytes", "huge-header-length", "extra-config-key",
-         "no-params", "list-header", "negative-shape", "huge-shape",
-         "missing-buffer", "string-d-model", "three-ablation-flags",
-         "no-float32-field"])
+# what: the schema the damaged checkpoint fails, or None if it fails a
+# later check
+@pytest.mark.parametrize("damage, what", [
+    # ends inside the parameters, then inside the length prefix
+    pytest.param(lambda blob: blob[:len(blob) // 2], None, id="half"),
+    pytest.param(lambda blob: blob[:6], None, id="first-6-bytes"),
+    pytest.param(lambda blob: blob[:4] + struct.pack("<Q", 2 ** 50)
+                 + blob[12:], None, id="huge-header-length"),
+    pytest.param(_edit_header(_extra_config_key), "model config",
+                 id="extra-config-key"),
+    pytest.param(_edit_header(_without_params), "checkpoint header",
+                 id="no-params"),
+    pytest.param(_edit_header(lambda header: [header]), "checkpoint header",
+                 id="list-header"),
+    pytest.param(_edit_header(_negate_first_shape), "checkpoint header",
+                 id="negative-shape"),
+    pytest.param(_edit_header(_huge_first_shape), None, id="huge-shape"),
+    pytest.param(_edit_header(_without_last_buffer), None,
+                 id="missing-buffer"),
+    pytest.param(_edit_header(_string_d_model), "model config",
+                 id="string-d-model"),
+    pytest.param(_edit_header(_three_ablation_flags), "model config",
+                 id="three-ablation-flags"),
+    pytest.param(_edit_header(_without_float32), "model config",
+                 id="no-float32-field")])
 def test_exit_code_malformed_checkpoint(workdir, checkpoint, tmp_path,
-                                        damage):
+                                        capsys, damage, what):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(damage(checkpoint.read_bytes()))
     code = run("eval", "--checkpoint", bad,
                "--problems", workdir / "test_problems.json",
                "--k", 2, "--out", tmp_path / "e.json")
     assert code == EXIT_CONTRACT
+    if what is not None:
+        blob = bad.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[4:12])
+        header = json.loads(blob[12:12 + hlen])
+        doc, schema = ((header, ad.CHECKPOINT_HEADER_SCHEMA)
+                       if what == "checkpoint header" else
+                       (header["config"], pol.MODEL_CONFIG_SCHEMA))
+        line = _schema_line(what, doc, schema)
+        assert line in capsys.readouterr().err.splitlines()
 
 
 def test_greedy_sim_placement_feasible(eval3):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decapbench import env, pdn
+from decapbench import env, errors, pdn
 from decapbench.env import (Evaluator, Problem, encode_features, gen_problem,
                             gen_problem_set, validate_placement)
 from decapbench.errors import ContractViolation, NumericFailure, check_schema
@@ -449,19 +449,32 @@ def test_malformed_problem_file_is_a_contract_violation(tmp_path, doc):
 
 
 def test_check_schema_checks_each_schema_once(monkeypatch):
-    import jsonschema
     calls = []
-    real = jsonschema.Draft202012Validator.check_schema
+    real = errors._check_keywords
 
-    def counting(schema, *args, **kwargs):
+    def counting(schema):
         calls.append(schema)
-        return real(schema, *args, **kwargs)
+        return real(schema)
 
-    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
-                        counting)
+    monkeypatch.setattr(errors, "_check_keywords", counting)
     schema = {"type": "array", "items": {"type": "integer"}}
     for _ in range(3):
         check_schema([1, 2], schema, "list")
     with pytest.raises(ContractViolation, match="bad list: 'x' is not of "):
         check_schema([1, "x"], schema, "list")
     assert calls == [schema]
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "integer", "minimun": 0},
+    {"type": "integer", "minimum": "0"},
+    {"type": "array", "items": {"type": "integer", "minimun": 0}},
+    {"type": "array", "items": {"type": "integer", "minimum": "0"}},
+], ids=["misspelt", "string-minimum", "nested-misspelt",
+        "nested-string-minimum"])
+def test_check_schema_rejects_a_bad_schema_on_first_use(schema):
+    # The schema is at fault, not the document: no ContractViolation, and
+    # a document the schema never looks into does not hide it.
+    with pytest.raises(ValueError, match="minimu") as got:
+        check_schema([], schema, "doc")
+    assert not isinstance(got.value, ContractViolation)
