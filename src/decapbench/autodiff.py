@@ -86,9 +86,7 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            stack += [(p, False) for p in node._parents if id(p) not in seen]
         self.grad = np.ones_like(self.data) if grad is None else \
             np.array(grad, dtype=self.data.dtype)
         while topo:
@@ -218,10 +216,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape).copy())
 
@@ -320,11 +315,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(y2.reshape(x.shape[:-1] + (dout,)), parents, backward)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                 b2: Tensor | None = None) -> Tensor:
-    """linear(relu(linear(x, w1, b1)), w2, b2) as one node: x (..., din),
-    w1 (din, dff), w2 (dff, dout); without b2 the second linear has no
-    bias.
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
+    """linear(relu(linear(x, w1, b1)), w2) as one node: x (..., din),
+    w1 (din, dff), w2 (dff, dout). The second linear has no bias: every
+    caller's output enters a sum whose own bias absorbs one.
 
     The ReLU runs in place, so the tape keeps x and the hidden output h
     but not the pre-activation: the backward mask h > 0 equals pre > 0. A
@@ -341,17 +335,12 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     h2 += b1.data
     np.maximum(h2, 0.0, out=h2)
     y2 = h2 @ w2.data
-    if b2 is not None:
-        y2 += b2.data
-    parents = (x, w1, b1, w2) if b2 is None else (x, w1, b1, w2, b2)
 
     def backward(g):
         g2 = g.reshape(-1, dout)
         if x.requires_grad or w1.requires_grad or b1.requires_grad:
             gh = (g2 @ w2.data.T) * (h2 > 0)
         _accum(w2, h2.T @ g2)
-        if b2 is not None:
-            _accum(b2, g2.sum(axis=0))
         if x.requires_grad:
             _accum(x, (gh @ w1.data.T).reshape(x.shape))
         if w1.requires_grad:
@@ -359,7 +348,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         if b1.requires_grad:
             _accum(b1, gh.sum(axis=0))
 
-    return _make(y2.reshape(x.shape[:-1] + (dout,)), parents, backward)
+    return _make(y2.reshape(x.shape[:-1] + (dout,)), (x, w1, b1, w2),
+                 backward)
 
 
 def attention_probs(qh: Tensor, kh: Tensor, c: float) -> Tensor:
@@ -522,11 +512,9 @@ class ParamStore:
 
     def copy(self, requires_grad: bool = False) -> "ParamStore":
         out = ParamStore()
-        for name, t in self.params.items():
-            c = Tensor(t.data.copy(), requires_grad=requires_grad)
-            out.params[name] = c
-        for name, b in self.buffers.items():
-            out.buffers[name] = b.copy()
+        out.params = {name: Tensor(t.data.copy(), requires_grad=requires_grad)
+                      for name, t in self.params.items()}
+        out.buffers = {name: b.copy() for name, b in self.buffers.items()}
         return out
 
     def leaf_view(self, buffers: dict) -> "ParamStore":

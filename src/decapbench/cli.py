@@ -135,6 +135,8 @@ def cmd_train(args) -> int:
 # --- eval ---------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    if args.k < 1:
+        raise ContractViolation(f"--k must be >= 1, got {args.k}")
     policy, meta = pol.load_policy(args.checkpoint)
     problems = read_problem_file(args.problems)
     rows, cols = _board_of(problems)

@@ -69,6 +69,8 @@ class Problem:
 
     def __post_init__(self):
         n = self.n_rows * self.n_cols
+        if n > np.iinfo(np.intp).max:   # no array could index the ports
+            raise ContractViolation("board has too many ports to index")
         if not (0 <= self.probe < n):
             raise ContractViolation("probe out of range")
         if any(not (0 <= k < n) for k in self.keepout):

@@ -444,6 +444,18 @@ class FrequencySweepZ:
             raise ContractViolation(f"port {port} not in sweep") from None
 
 
+def _check_sweep_ram(nd: int, n: int, n_freqs: int) -> None:
+    """Reject a sweep whose z and (block, nd, n) work arrays exceed RAM."""
+    need = 16 * (n_freqs * nd * nd
+                 + BLOCK_ARRAYS * min(n_freqs, FREQ_BLOCK) * n * nd)
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > ram:
+        raise ContractViolation(
+            f"sweep of {nd} port nodes at {n_freqs} frequencies needs "
+            f"{need / 2**30:.1f} GiB, more than the {ram / 2**30:.1f} GiB "
+            "of physical RAM")
+
+
 def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     """Z[i][j](f) = voltage at port i for unit current injected at port j.
 
@@ -451,8 +463,12 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
     column, so each is computed (and residual-checked) once. The grid is
     swept in blocks of FREQ_BLOCK frequencies. A sweep whose z and block
     work arrays would not fit in the machine's physical RAM is rejected
-    before anything is allocated.
+    before anything is allocated; on a chip-only stack, where every port
+    is its own node, before ports is even iterated.
     """
+    freqs = grid.points
+    if spec.package is None:
+        _check_sweep_ram(len(ports), spec.chip.n_cells, len(freqs))
     ports = tuple(int(p) for p in ports)
     if len(set(ports)) != len(ports):
         raise ContractViolation("ports must be distinct")
@@ -464,17 +480,8 @@ def solve_z_ports(spec: StackSpec, ports, grid: FreqGrid) -> FrequencySweepZ:
                           for node in topo.chip_port_nodes[list(ports)]],
                          dtype=np.int64)
     nodes = np.array(list(row_of_node), dtype=np.int64)
-    n, nd = topo.n_nodes, len(nodes)
-    freqs = grid.points
-    # z, plus the few (block, nd, n) complex arrays a block works in.
-    need = 16 * (len(freqs) * nd * nd
-                 + BLOCK_ARRAYS * min(len(freqs), FREQ_BLOCK) * n * nd)
-    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > ram:
-        raise ContractViolation(
-            f"sweep of {nd} port nodes at {len(freqs)} frequencies needs "
-            f"{need / 2**30:.1f} GiB, more than the {ram / 2**30:.1f} GiB "
-            "of physical RAM")
+    nd = len(nodes)
+    _check_sweep_ram(nd, topo.n_nodes, len(freqs))
     z = np.empty((len(freqs), nd, nd), dtype=np.complex128)
     solve = _modal_solve if spec.package is None else _dense_solve
     for k0 in range(0, len(freqs), FREQ_BLOCK):

@@ -100,15 +100,16 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
         if bias:
             store.add(name + ".b", np.zeros(fan_out))
 
+    # One bias per sum: node.b serves node + ppe, ctx.b serves pcn2 + rcn2
+    # (ctx's only input), and bn2 centres ff2.
     lin("node", 5, d)
     if not cfg.ablated:
-        lin("ppe", 1, d)
+        lin("ppe", 1, d, bias=False)
     for layer in range(cfg.n_layers):
         pre = f"enc{layer}"
         for name in ("wq", "wk", "wv", "wo"):
             store.add(f"{pre}.{name}", ad.xavier_uniform(rng, d, d))
         lin(f"{pre}.ff1", d, ff)
-        # no ff2 bias: bn2 centres it away, its gradient is round-off
         lin(f"{pre}.ff2", ff, d, bias=False)
         for bn in ("bn1", "bn2"):
             store.add(f"{pre}.{bn}.gamma", np.ones(d))
@@ -116,10 +117,9 @@ def init_params(cfg: ModelConfig) -> ad.ParamStore:
             store.add_buffer(f"{pre}.{bn}.mean", np.zeros(d))
             store.add_buffer(f"{pre}.{bn}.var", np.ones(d))
     if not cfg.ablated:
-        lin("pcn1", d, d)
-        lin("pcn2", d, d)
-        lin("rcn1", d, d)
-        lin("rcn2", d, d)
+        for net in ("pcn", "rcn"):
+            lin(net + "1", d, d)
+            lin(net + "2", d, d, bias=False)
         store.add("start", ad.xavier_uniform(rng, 1, d, shape=(d,)))
     lin("ctx", d, d)
     for name in ("wq", "wk", "wv", "wo"):
@@ -165,7 +165,7 @@ def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
     h = ad.linear(feats, store["node.w"], store["node.b"])
     if not cfg.ablated:
         ppe = _inputs([ppe_features(p) for p in problems], cfg)
-        h = h + ad.linear(ppe, store["ppe.w"], store["ppe.b"])
+        h = h + ad.linear(ppe, store["ppe.w"])
     for layer in range(cfg.n_layers):
         pre = f"enc{layer}"
         a = ad.mha(h, h, h, store[f"{pre}.wq"], store[f"{pre}.wk"],
@@ -174,18 +174,17 @@ def encode(problems, store: ad.ParamStore, cfg: ModelConfig,
                           store[f"{pre}.bn1.gamma"], store[f"{pre}.bn1.beta"],
                           store.buffers, f"{pre}.bn1", training,
                           update_running=update_running)
-        f = ad.feed_forward(h, store[f"{pre}.ff1.w"], store[f"{pre}.ff1.b"],
-                            store[f"{pre}.ff2.w"])
-        h = ad.batch_norm(h + f,
+        h = ad.batch_norm(h + _mlp(h, store, f"{pre}.ff"),
                           store[f"{pre}.bn2.gamma"], store[f"{pre}.bn2.beta"],
                           store.buffers, f"{pre}.bn2", training,
                           update_running=update_running)
     return h
 
 
-def _mlp(x, store, p1, p2):
-    return ad.feed_forward(x, store[p1 + ".w"], store[p1 + ".b"],
-                           store[p2 + ".w"], store[p2 + ".b"])
+def _mlp(x, store, net):
+    """Feed-forward block net: net1 with its bias, ReLU, net2 without."""
+    return ad.feed_forward(x, store[net + "1.w"], store[net + "1.b"],
+                           store[net + "2.w"])
 
 
 START = -1  # prev-port index of the first step: the table's start row
@@ -216,7 +215,7 @@ def decoder_cache(h: ad.Tensor, problems, store: ad.ParamStore,
         fixed, table = ad.mean(h, axis=1, keepdims=True), None
     else:
         probes = np.array([[p.probe] for p in problems])
-        fixed = _mlp(ad.take_rows(h, probes), store, "pcn1", "pcn2")
+        fixed = _mlp(ad.take_rows(h, probes), store, "pcn")
         start = ad.broadcast_to(ad.reshape(store["start"], (1, 1, d)),
                                 (bsz, 1, d))
         table = ad.concat([h, start], axis=1)
@@ -240,7 +239,7 @@ def decode(cache: DecoderCache, prev_ports: np.ndarray, masks: np.ndarray,
     store = _params(store, cfg)
     query = cache.fixed
     if cache.table is not None:
-        r = _mlp(ad.take_rows(cache.table, prev_ports), store, "rcn1", "rcn2")
+        r = _mlp(ad.take_rows(cache.table, prev_ports), store, "rcn")
         query = query + r
     q = ad.linear(query, store["ctx.w"], store["ctx.b"])
     if q.shape[1] != t:
@@ -331,9 +330,8 @@ def rollout_batch(problems, store: ad.ParamStore, cfg: ModelConfig,
         raise ContractViolation("mode must be 'greedy' or 'sample'")
     if mode == "sample" and rng is None:
         raise ContractViolation("sampling requires an rng")
-    for p in problems:
-        if len(p.allowed_ports) < k:
-            raise ContractViolation("fewer feasible ports than K")
+    if any(len(p.allowed_ports) < k for p in problems):
+        raise ContractViolation("fewer feasible ports than K")
     bsz = len(problems)
     rows = np.arange(bsz)
     with ad.no_grad():
@@ -393,17 +391,24 @@ def save_policy(path, store: ad.ParamStore, cfg: ModelConfig, meta=None):
     ad.save_checkpoint(path, store, cfg.to_dict(), meta)
 
 
-def _shapes(store: ad.ParamStore) -> tuple:
-    return ({n: t.shape for n, t in store.params.items()},
-            {n: b.shape for n, b in store.buffers.items()})
+def _shapes(store: ad.ParamStore) -> dict:
+    return {**{f"parameter {n}": t.shape for n, t in store.params.items()},
+            **{f"buffer {n}": b.shape for n, b in store.buffers.items()}}
 
 
 def load_policy(path):
     """Returns (DevFormerPolicy, meta). Refuses tampered config hashes and
-    parameters or buffers other than those the config's model has."""
+    parameters or buffers other than those the config's model has, naming
+    the first that differs."""
     store, cfg_dict, meta = ad.load_checkpoint(path)
     cfg = ModelConfig.from_dict(cfg_dict)
-    if _shapes(store) != _shapes(init_params(cfg)):
-        raise ContractViolation(
-            "checkpoint parameters do not match its model config")
+    have, want = _shapes(store), _shapes(init_params(cfg))
+    for name in [*have, *want]:
+        if have.get(name) != want.get(name):
+            raise ContractViolation(
+                "checkpoint does not match its model config: " + (
+                    f"unexpected {name}" if name not in want else
+                    f"missing {name}" if name not in have else
+                    f"{name} has shape {have[name]}, the model's "
+                    f"{want[name]}"))
     return DevFormerPolicy(store, cfg), meta

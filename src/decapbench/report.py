@@ -191,8 +191,7 @@ def _esc(s: str) -> str:
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ContractViolation("bad axis range")
-    raw = np.linspace(lo, hi, n)
-    return [float(v) for v in raw]
+    return [float(v) for v in np.linspace(lo, hi, n)]
 
 
 def svg_line_plot(path, series, title: str, xlabel: str, ylabel: str,

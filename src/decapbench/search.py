@@ -125,10 +125,8 @@ def exhaustive_best(problem: Problem, k: int, evaluator: Evaluator
     if len(feasible) < k:
         raise ContractViolation("fewer feasible ports than K")
     best, best_score = None, -np.inf
-    n_evals = 0
-    for cand in itertools.combinations(feasible, k):
+    for n_evals, cand in enumerate(itertools.combinations(feasible, k), 1):
         score = evaluator.evaluate(problem, cand)
-        n_evals += 1
         if score > best_score:
             best, best_score = cand, score
     return ExpertRecord(problem, best, best_score, n_evals, seed=0)
@@ -159,12 +157,10 @@ def mutate_dedup(genes, problem: Problem, rng) -> tuple:
     used = set()
     for g in genes:
         g = int(g)
-        if g in feasible and g not in used:
-            out.append(g)
-        else:
+        if g not in feasible or g in used:
             remaining = [a for a in allowed if a not in used]
             g = int(rng.choice(np.array(remaining)))
-            out.append(g)
+        out.append(g)
         used.add(g)
     return tuple(out)
 

@@ -49,7 +49,7 @@ def test_grad_check_elementwise_chain():
     eye, zero = ad.Tensor(np.eye(4)), ad.Tensor(np.zeros(4))
 
     def fn():
-        relu_a = ad.feed_forward(s["a"], eye, zero, eye, zero)
+        relu_a = ad.feed_forward(s["a"], eye, zero, eye)
         x = ad.mul(ad.exp(s["a"]), s["b"]) + relu_a - s["b"]
         return ad.mean(ad.absolute(x) + ad.exp(x))
 
@@ -188,20 +188,14 @@ def test_grad_check_mha():
 def test_grad_check_feed_forward():
     rng = make_rng(15)
     s = store_with(x=rng.normal(size=(2, 3, 4)), w1=rng.normal(size=(4, 6)),
-                   b1=rng.normal(size=6), w2=rng.normal(size=(6, 5)),
-                   b2=rng.normal(size=5))
+                   b1=rng.normal(size=6), w2=rng.normal(size=(6, 5)))
     weights = ad.Tensor(rng.normal(size=(2, 3, 5)))
 
     def fn():
-        y = ad.feed_forward(s["x"], s["w1"], s["b1"], s["w2"], s["b2"])
-        return ad.tensor_sum(ad.mul(y, weights))
-
-    def without_b2():
         y = ad.feed_forward(s["x"], s["w1"], s["b1"], s["w2"])
         return ad.tensor_sum(ad.mul(y, weights))
 
     assert ad.grad_check(fn, s) < 1e-6
-    assert ad.grad_check(without_b2, s) < 1e-6
 
 
 def test_grad_check_attention_probs():
@@ -217,12 +211,11 @@ def test_grad_check_attention_probs():
     assert ad.grad_check(fn, s) < 1e-6
 
 
-def _check_feed_forward_against_chain(input_grad, second_bias):
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_feed_forward_matches_chain_bitwise(input_grad):
     rng = make_rng(17)
     ref = store_with(w1=rng.normal(size=(6, 9)), b1=rng.normal(size=9),
                      w2=rng.normal(size=(9, 5)))
-    if second_bias:
-        ref.add("b2", rng.normal(size=5))
     x = rng.normal(size=(4, 7, 6))
     if input_grad:
         ref.add("x", x)
@@ -232,29 +225,14 @@ def _check_feed_forward_against_chain(input_grad, second_bias):
     def inputs(s):
         return s["x"] if input_grad else ad.Tensor(x)
 
-    def b2(s):
-        return s["b2"] if second_bias else None
-
     y_ref = ad.linear(_relu(ad.linear(inputs(ref), ref["w1"], ref["b1"])),
-                      ref["w2"], b2(ref))
-    y = ad.feed_forward(inputs(fused), fused["w1"], fused["b1"],
-                        fused["w2"], b2(fused))
+                      ref["w2"])
+    y = ad.feed_forward(inputs(fused), fused["w1"], fused["b1"], fused["w2"])
     assert np.array_equal(y.data, y_ref.data)
     ad.tensor_sum(ad.mul(y_ref, upstream)).backward()
     ad.tensor_sum(ad.mul(y, upstream)).backward()
     for name in ref.params:
         assert np.array_equal(fused[name].grad, ref[name].grad), name
-
-
-@pytest.mark.parametrize("input_grad", [True, False])
-def test_feed_forward_matches_chain_bitwise(input_grad):
-    _check_feed_forward_against_chain(input_grad, second_bias=True)
-
-
-@pytest.mark.parametrize("input_grad", [True, False])
-def test_feed_forward_without_second_bias_matches_chain_bitwise(input_grad):
-    # the encoder's block: bn2 follows it, so its second linear has no bias
-    _check_feed_forward_against_chain(input_grad, second_bias=False)
 
 
 @pytest.mark.parametrize("query_grad", [True, False])
@@ -301,11 +279,10 @@ def test_grad_check_batch_norm_training_mode():
 def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
     rng = make_rng(12)
     s = store_with(w=rng.normal(size=(3, 3)), x=rng.normal(size=(2, 3)),
-                   b=rng.normal(size=3), w2=rng.normal(size=(3, 3)),
-                   b2=rng.normal(size=3))
+                   b=rng.normal(size=3), w2=rng.normal(size=(3, 3)))
 
     def fn():
-        y = ad.feed_forward(s["x"], s["w"], s["b"], s["w2"], s["b2"])
+        y = ad.feed_forward(s["x"], s["w"], s["b"], s["w2"])
         return y, ad.mean(ad.mul(y, y))
 
     s.zero_grad()
@@ -461,7 +438,7 @@ def test_feed_forward_propagates_nan():
     # output, and the backward mask h > 0 is False at the NaN, as pre > 0.
     s = store_with(x=np.zeros((1, 3)), b1=np.array([np.nan, -1.0, 2.0]))
     eye = ad.Tensor(np.eye(3))
-    y = ad.feed_forward(s["x"], eye, s["b1"], eye, ad.Tensor(np.zeros(3)))
+    y = ad.feed_forward(s["x"], eye, s["b1"], eye)
     assert np.isnan(y.data).all()
     ad.tensor_sum(y).backward()
     np.testing.assert_array_equal(s["b1"].grad, [0.0, 0.0, 1.0])

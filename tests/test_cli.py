@@ -875,6 +875,53 @@ def test_exit_code_malformed_checkpoint(workdir, checkpoint, tmp_path,
         assert line in capsys.readouterr().err.splitlines()
 
 
+def test_exit_code_checkpoint_with_a_deleted_bias(workdir, tmp_path, capsys):
+    # A full-model checkpoint saved while the PPE had a bias of its own.
+    cfg = pol.toy_config()
+    store = pol.init_params(cfg)
+    store.add("ppe.b", np.zeros(cfg.d_model))
+    old = tmp_path / "old.ckpt"
+    pol.save_policy(old, store, cfg)
+    code = run("eval", "--checkpoint", old,
+               "--problems", workdir / "test_problems.json",
+               "--k", 2, "--out", tmp_path / "e.json")
+    assert code == EXIT_CONTRACT
+    assert ("contract violation: checkpoint does not match its model "
+            "config: unexpected parameter ppe.b"
+            in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_exit_code_eval_k_below_one(workdir, checkpoint, tmp_path, capsys, k):
+    out = tmp_path / "e.json"
+    code = run("eval", "--checkpoint", checkpoint,
+               "--problems", workdir / "test_problems.json",
+               "--k", k, "--out", out)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONTRACT
+    assert f"--k must be >= 1, got {k}" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "min-k"])
+def test_exit_code_board_beyond_array_indices(workdir, checkpoint, tmp_path,
+                                              capsys, command):
+    # "rows": 1e300 passes the schema: an integral float is an integer there.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema_version": 1, "problems": [
+        {"rows": 1e300, "cols": 3, "probe": 0, "keepout": []}]}))
+    flags = {"eval": ("--checkpoint", checkpoint, "--k", 2,
+                      "--out", tmp_path / "e.json"),
+             "min-k": ("--target", 1.0, "--k-max", 2)}[command]
+    code = run(command, "--problems", path, *flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONTRACT
+    assert "ports" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_greedy_sim_placement_feasible(eval3):
     from decapbench.env import gen_problem_set, validate_placement
     p = gen_problem_set(9, 1, 3, 3, 2)[0]

@@ -23,6 +23,17 @@ def test_problem_contracts():
         Problem(3, 3, 0, frozenset({12}))      # keep-out out of range
 
 
+def test_problem_rejects_more_ports_than_an_array_index_addresses():
+    big = np.iinfo(np.intp).max
+    assert Problem(big, 1, 0, frozenset()).n_ports == big
+    for rows, cols in ((big, 2), (2, big), (10 ** 300, 3)):
+        with pytest.raises(ContractViolation, match="ports"):
+            Problem(rows, cols, 0, frozenset())
+    with pytest.raises(ContractViolation, match="ports"):
+        Problem.from_dict({"rows": 1e300, "cols": 3, "probe": 0,
+                           "keepout": []})
+
+
 def test_gen_problem_deterministic_and_stable():
     a = gen_problem(42, 5, 5, 4)
     b = gen_problem(42, 5, 5, 4)

@@ -712,6 +712,28 @@ def test_chip_sweep_on_few_ports_stays_far_below_one_full_block():
     assert peak < 8 * 2**20
 
 
+class _Unwalkable:
+    """A ports sequence of the given length whose iteration fails."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        raise AssertionError("ports were iterated")
+
+
+def test_chip_sweep_is_bounded_before_its_ports_are_read():
+    # A 10^12 x 5 chip: the bound comes from len(ports), since each port
+    # is its own node; reading 5 x 10^12 ports would take hours first.
+    spec = pdn.chip_only_config(10 ** 12, 5).stack
+    with pytest.raises(ContractViolation, match="of physical RAM"):
+        pdn.solve_z_ports(spec, _Unwalkable(5 * 10 ** 12),
+                          pdn.default_freq_grid())
+
+
 @pytest.mark.parametrize("points", [(1e9, np.nan, 2e9), (1e9, np.inf)])
 def test_freq_grid_rejects_non_finite_frequencies(points):
     with pytest.raises(ContractViolation, match="finite"):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -332,6 +333,32 @@ def test_policy_save_load_round_trip(tmp_path):
         pol.rollout_batch([p], store, CFG, "greedy", 3)[0]
 
 
+def _with_ppe_bias(store):
+    # a full-model checkpoint saved before ppe.b was deleted
+    store.add("ppe.b", np.zeros(CFG.d_model))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_with_ppe_bias, "unexpected parameter ppe.b"),
+    (lambda store: store.params.pop("ctx.b"), "missing parameter ctx.b"),
+    (lambda store: store.params.update(start=ad.Tensor(np.zeros(17))),
+     "parameter start has shape (17,), the model's (16,)"),
+    (lambda store: store.add_buffer("enc0.bn3.mean", np.zeros(16)),
+     "unexpected buffer enc0.bn3.mean"),
+    (lambda store: store.buffers.pop("enc0.bn2.var"),
+     "missing buffer enc0.bn2.var")],
+    ids=["ppe.b", "no-ctx.b", "start-shape", "extra-buffer", "no-buffer"])
+def test_load_policy_names_the_mismatch(tmp_path, edit, named):
+    store = pol.init_params(CFG)
+    edit(store)
+    path = tmp_path / "policy.ckpt"
+    pol.save_policy(path, store, CFG)
+    with pytest.raises(ContractViolation) as exc:
+        pol.load_policy(path)
+    assert str(exc.value) == \
+        f"checkpoint does not match its model config: {named}"
+
+
 def _imitation_grads(problems, placements, cfg):
     store = pol.init_params(cfg)
     lp = pol.sequence_log_prob(problems, placements, store, cfg, training=True)
@@ -383,9 +410,32 @@ def test_no_dead_parameter(cfg, board, k):
     assert [n for n, v in peak.items() if v <= 1e-6 * top] == []
 
 
+@pytest.mark.parametrize("cfg, board, k", [
+    (pol.toy_config(), 5, 4),
+    (pol.toy_config(ablated=True), 5, 4),
+    (pol.ModelConfig(float32=False), 10, 20)],
+    ids=["toy", "ablated-toy", "paper-float64"])
+def test_no_redundant_bias(cfg, board, k):
+    # Two biases added into one sum get one gradient and act as one bias
+    # with a doubled Adam step; at most one bias may serve each sum.
+    rng = make_rng(1)
+    probs = gen_problem_set(1, 8, board, board, 2)
+    placements = [tuple(rng.choice(p.allowed_ports, k, replace=False))
+                  for p in probs]
+    _, grads = _imitation_grads(probs, placements, cfg)
+    biases = {n: g for n, g in grads.items() if n.endswith((".b", ".beta"))}
+    pairs = [(a, b) for a, b in itertools.combinations(biases, 2)
+             if biases[a].shape == biases[b].shape
+             and np.abs(biases[a] - biases[b]).max()
+             <= 1e-12 * max(np.abs(biases[a]).max(), np.abs(biases[b]).max())]
+    assert pairs == []
+
+
 def test_parameter_counts():
     def count(cfg):
         return sum(t.data.size for t in pol.init_params(cfg).params.values())
 
-    assert count(pol.ModelConfig()) == 758_528
-    assert count(pol.toy_config()) == 19_072
+    assert count(pol.ModelConfig()) == 758_144
+    assert count(pol.toy_config()) == 18_976
+    assert count(pol.ModelConfig(ablated=True)) == 692_096
+    assert count(pol.toy_config(ablated=True)) == 14_752
