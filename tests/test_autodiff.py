@@ -211,16 +211,15 @@ def test_grad_check_attention_probs():
     assert ad.grad_check(fn, s) < 1e-6
 
 
-@pytest.mark.parametrize("input_grad", [True, False])
-def test_feed_forward_matches_chain_bitwise(input_grad):
+def _check_feed_forward_against_chain(input_grad, lead):
     rng = make_rng(17)
     ref = store_with(w1=rng.normal(size=(6, 9)), b1=rng.normal(size=9),
                      w2=rng.normal(size=(9, 5)))
-    x = rng.normal(size=(4, 7, 6))
+    x = rng.normal(size=lead + (6,))
     if input_grad:
         ref.add("x", x)
     fused = ref.copy(requires_grad=True)
-    upstream = ad.Tensor(rng.normal(size=(4, 7, 5)))
+    upstream = ad.Tensor(rng.normal(size=lead + (5,)))
 
     def inputs(s):
         return s["x"] if input_grad else ad.Tensor(x)
@@ -233,6 +232,19 @@ def test_feed_forward_matches_chain_bitwise(input_grad):
     ad.tensor_sum(ad.mul(y, upstream)).backward()
     for name in ref.params:
         assert np.array_equal(fused[name].grad, ref[name].grad), name
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_feed_forward_matches_chain_bitwise(input_grad):
+    # a flat (rows, d) input
+    _check_feed_forward_against_chain(input_grad, lead=(7,))
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_feed_forward_without_second_bias_matches_chain_bitwise(input_grad):
+    # the encoder's (batch, nodes, d) block: bn2 follows it, so its second
+    # linear has no bias
+    _check_feed_forward_against_chain(input_grad, lead=(4, 7))
 
 
 @pytest.mark.parametrize("query_grad", [True, False])
